@@ -1,10 +1,10 @@
 #include "campaign/report.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "common/json_string.hpp"
 #include "store/serialize.hpp"
 
 namespace hi::campaign {
@@ -25,23 +25,6 @@ std::string json_number(double v) {
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::uint64_t CampaignReport::total_fresh_simulations() const {
   std::uint64_t n = 0;
@@ -71,7 +54,7 @@ void CampaignReport::print(std::ostream& os, bool json) const {
   // Compatibility surface: this is the exact report hi_campaign printed
   // before the fabric existed; tests parse these strings.
   if (json) {
-    os << "{\n  \"store\": \"" << json_escape(store_path) << "\",\n"
+    os << "{\n  \"store\": " << json_string(store_path) << ",\n"
        << "  \"recovery\": {\"records\": " << recovery.records
        << ", \"corrupt_dropped\": " << recovery.corrupt_dropped
        << ", \"tail_truncated\": " << bool_str(recovery.tail_truncated)
@@ -79,12 +62,12 @@ void CampaignReport::print(std::ostream& os, bool json) const {
        << "  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellReport& c = cells[i];
-      os << "    {\"scenario\": \"" << json_escape(c.scenario)
-         << "\", \"pdr_min\": " << c.pdr_min
+      os << "    {\"scenario\": " << json_string(c.scenario)
+         << ", \"pdr_min\": " << c.pdr_min
          << ", \"skipped\": " << bool_str(c.skipped)
          << ", \"feasible\": " << bool_str(c.result.feasible)
-         << ", \"best\": \"" << json_escape(c.result.best.label())
-         << "\", \"best_power_mw\": " << json_number(c.result.best_power_mw)
+         << ", \"best\": " << json_string(c.result.best.label())
+         << ", \"best_power_mw\": " << json_number(c.result.best_power_mw)
          << ", \"best_pdr\": " << json_number(c.result.best_pdr)
          << ", \"simulations\": " << c.result.simulations
          << ", \"store_hits\": " << c.store_hits << "}"
@@ -190,8 +173,8 @@ double FleetReport::throughput_cells_per_s() const {
 std::string FleetReport::to_json() const {
   const WorkerReport t = totals();
   std::ostringstream os;
-  os << "{\n  \"shard_dir\": \"" << json_escape(shard_dir) << "\",\n"
-     << "  \"merged_store\": \"" << json_escape(merged_path) << "\",\n"
+  os << "{\n  \"shard_dir\": " << json_string(shard_dir) << ",\n"
+     << "  \"merged_store\": " << json_string(merged_path) << ",\n"
      << "  \"run_id\": " << run_id << ",\n"
      << "  \"workers\": " << workers << ",\n"
      << "  \"complete\": " << bool_str(complete) << ",\n"
@@ -225,8 +208,8 @@ std::string FleetReport::to_json() const {
      << ", \"clean\": " << bool_str(merge.clean()) << ", \"shards\": [\n";
   for (std::size_t i = 0; i < merge.shards.size(); ++i) {
     const store::EvalStore::ShardMergeStats& s = merge.shards[i];
-    os << "    {\"path\": \"" << json_escape(s.path)
-       << "\", \"present\": " << bool_str(s.present)
+    os << "    {\"path\": " << json_string(s.path)
+       << ", \"present\": " << bool_str(s.present)
        << ", \"records\": " << s.records
        << ", \"evals_added\": " << s.evals_added
        << ", \"cells_added\": " << s.cells_added

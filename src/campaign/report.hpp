@@ -88,7 +88,4 @@ struct FleetReport {
   void print(std::ostream& os, bool json) const;
 };
 
-/// Minimal JSON string escaping shared by the report printers.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 }  // namespace hi::campaign

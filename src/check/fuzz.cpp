@@ -131,6 +131,10 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
        }},
       {"robust_collapse",
        [](const ScenarioSpec& s) { return check_robust_collapse(s); }},
+      {"level_walk_stop_rules",
+       [&robust](const ScenarioSpec& s) {
+         return check_level_walk_stop_rules(s, robust);
+       }},
   };
   const std::vector<Property> rotated = {
       {"alg1_vs_exhaustive+pdrmin_monotone", dse_metamorphic},

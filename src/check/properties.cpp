@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "lp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "model/power.hpp"
+#include "pareto/sweep.hpp"
 
 namespace hi::check {
 
@@ -632,9 +634,8 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
 std::vector<std::string> check_robust_collapse(const ScenarioSpec& spec) {
   std::vector<std::string> out;
   dse::Evaluator eval(spec.settings);
-  // Γ=0, K=1 forced through the robust machinery itself (the explorers
-  // would route an inactive option set down the nominal path, which
-  // collapses by construction — this checks the aggregation too).
+  // Γ=0, K=1 through the robust machinery itself, compared field by
+  // field against the plain evaluator: every nominal run is this fold.
   dse::RobustBatch rb(eval, 0, dse::RobustnessOptions{});
   const std::vector<model::NetworkConfig> configs =
       spec.scenario.feasible_configs();
@@ -815,6 +816,59 @@ std::vector<std::string> check_robust_thread_determinism(
   std::vector<std::string> counter_diffs =
       diff_counters(serial.metrics, par.metrics, {"exec."});
   out.insert(out.end(), counter_diffs.begin(), counter_diffs.end());
+  return out;
+}
+
+std::vector<std::string> check_level_walk_stop_rules(
+    const ScenarioSpec& spec, const dse::RobustnessOptions& robust) {
+  std::vector<std::string> out;
+  dse::Evaluator eval(spec.settings);  // shared cache; counts per epoch
+  const double pdr_min = 0.8;
+  for (const dse::RobustnessOptions& r : {dse::RobustnessOptions{}, robust}) {
+    const char* mode = r.active() ? "robust" : "nominal";
+    dse::ExplorationOptions opt;
+    opt.pdr_min = pdr_min;
+    opt.robust = r;
+    eval.reset_counters();
+    const dse::ExplorationResult a1 =
+        dse::run_algorithm1(spec.scenario, eval, opt);
+    pareto::SweepOptions sweep;
+    sweep.pdr_ladder = {pdr_min};
+    sweep.robust = r;
+    eval.reset_counters();
+    const pareto::SweepResult ladder =
+        pareto::ladder_front(spec.scenario, eval, sweep);
+    const pareto::RungResult& rung = ladder.rungs.front();
+    if (rung.feasible != a1.feasible ||
+        (a1.feasible && rung.best.power_mw != a1.best_power_mw)) {
+      fail(out, std::setprecision(17), mode, " single-rung ladder optimum (", rung.feasible, ", ",
+           rung.best.power_mw, " mW) differs from algorithm1's (",
+           a1.feasible, ", ", a1.best_power_mw, " mW)");
+    }
+    if (ladder.simulations != a1.simulations) {
+      fail(out, mode, " single-rung ladder needed ", ladder.simulations,
+           " simulations, algorithm1 ", a1.simulations);
+    }
+
+    opt.use_alpha_termination = false;
+    eval.reset_counters();
+    const dse::ExplorationResult dry =
+        dse::run_algorithm1(spec.scenario, eval, opt);
+    opt.fast_ilp_patience =
+        static_cast<int>(dse::MilpEncoding(spec.scenario, r.gamma)
+                             .achievable_power_levels()
+                             .size()) +
+        1;
+    eval.reset_counters();
+    const dse::ExplorationResult fast =
+        dse::run_fast_ilp(spec.scenario, eval, opt);
+    if (fast.feasible != dry.feasible ||
+        (dry.feasible && fast.best_power_mw != dry.best_power_mw)) {
+      fail(out, std::setprecision(17), mode, " unbounded-patience fast-ILP (", fast.feasible, ", ",
+           fast.best_power_mw, " mW) differs from dry algorithm1 (",
+           dry.feasible, ", ", dry.best_power_mw, " mW)");
+    }
+  }
   return out;
 }
 

@@ -173,6 +173,15 @@ struct RobustMilpInstance {
 [[nodiscard]] std::vector<std::string> check_robust_encoding_levels(
     const model::Scenario& sc, int gamma);
 
+/// The level-walk callers differ only in their stop rules (DESIGN.md §5),
+/// nominally and under `robust`: pareto::ladder_front with the single
+/// rung {p} returns the same optimum power (bitwise) and simulation count
+/// as run_algorithm1 at PDRmin = p with the kSoundFloor bound, and
+/// run_fast_ilp with a patience above the level count returns the same
+/// best power as run_algorithm1 without early termination.
+[[nodiscard]] std::vector<std::string> check_level_walk_stop_rules(
+    const ScenarioSpec& spec, const dse::RobustnessOptions& robust);
+
 // --- simulator invariants ----------------------------------------------
 
 /// audited_simulate over up to `max_configs` sampled feasible

@@ -1,5 +1,5 @@
-// hi-opt: common result types shared by the three explorers
-// (Algorithm 1, exhaustive search, simulated annealing).
+// hi-opt: common result types shared by the explorers (Algorithm 1,
+// exhaustive search, simulated annealing, fast-ILP).
 #pragma once
 
 #include <cstdint>
@@ -17,16 +17,17 @@ namespace hi::dse {
 /// robust metrics in the shared fields — sim_pdr is then the WORST
 /// realization's PDR and sim_power_mw the robust objective (worst power
 /// + Γ-protection), analytic_power_mw the Γ-protected cell cost — and
-/// additionally populate the CI bounds below.  Single-realization runs
-/// leave pdr_lo == pdr_hi == 0.
+/// the PDR confidence interval below.  Single-realization runs carry the
+/// degenerate interval pdr_lo == pdr_hi == sim_pdr, as
+/// pareto::FrontPoint does.
 struct CandidateRecord {
   model::NetworkConfig cfg;
   double analytic_power_mw = 0.0;  ///< Eq. (9) (+ protection when robust)
   double sim_pdr = 0.0;            ///< Eq. (7), in [0,1]; worst-case if robust
   double sim_power_mw = 0.0;       ///< worst lifetime-relevant node
   double sim_nlt_s = 0.0;          ///< Eq. (4); worst-case if robust
-  double pdr_lo = 0.0;             ///< PDR CI lower bound (robust runs)
-  double pdr_hi = 0.0;             ///< PDR CI upper bound (robust runs)
+  double pdr_lo = 0.0;             ///< PDR CI lower bound (K = 1: sim_pdr)
+  double pdr_hi = 0.0;             ///< PDR CI upper bound (K = 1: sim_pdr)
 };
 
 /// Outcome of one exploration run.
@@ -38,14 +39,14 @@ struct ExplorationResult {
   double best_nlt_s = 0.0;
   int iterations = 0;            ///< explorer-specific outer iterations
   std::uint64_t simulations = 0; ///< distinct design points simulated
-  /// Branch-and-bound nodes spent by RunMILP (Algorithm 1 only; 0 for
-  /// the other explorers).  Populated from the run's `milp.bnb_nodes`
+  /// Branch-and-bound nodes spent by RunMILP (Algorithm 1 and fast-ILP;
+  /// 0 for the other explorers).  Populated from the run's `milp.bnb_nodes`
   /// counter, so it covers every solve the round triggered.
   std::uint64_t milp_bnb_nodes = 0;
   double wall_time_s = 0.0;
   std::vector<CandidateRecord> history;  ///< every simulated candidate
-  // --- robust-mode summary (meaningful when the run's ---------------
-  // --- RobustnessOptions were active; defaults otherwise) -----------
+  // --- robust-mode summary (a nominal run reports K = 1, Γ = 0, ------
+  // --- zero protection and the degenerate interval [pdr, pdr]) -------
   int realizations = 1;      ///< channel realizations per design point
   int gamma = 0;             ///< Γ budget the run protected against
   double best_pdr_lo = 0.0;  ///< incumbent's PDR CI lower bound

@@ -72,12 +72,6 @@ RunScope::RunScope(ExplorerKind kind, Evaluator& eval,
     previous_ = eval.set_metrics(registry_);
     installed_ = true;
   }
-  HI_REQUIRE(!opt.robust.active() ||
-                 (opt.robust.gamma >= 0 && opt.robust.realizations >= 1 &&
-                  opt.robust.confidence > 0.0 && opt.robust.confidence < 1.0),
-             "invalid RobustnessOptions: gamma " << opt.robust.gamma
-                 << ", realizations " << opt.robust.realizations
-                 << ", confidence " << opt.robust.confidence);
   start_ = registry_->snapshot();
   // total_simulations: a robust run pays into the realization children
   // too; with no children this is exactly simulations(), so the
@@ -119,6 +113,30 @@ void RunScope::finish(ExplorationResult& res) {
                     << res.metrics.counter("dse.simulations")
                     << ") disagrees with the evaluator's count ("
                     << res.simulations << ")");
+}
+
+void set_incumbent(ExplorationResult& res, const model::NetworkConfig& cfg,
+                   const RobustEvaluation& rev) {
+  res.feasible = true;
+  res.best = cfg;
+  res.best_power_mw = rev.robust_power_mw;
+  res.best_pdr = rev.worst_pdr;
+  res.best_nlt_s = rev.worst_nlt_s;
+  res.best_pdr_lo = rev.pdr_lo;
+  res.best_pdr_hi = rev.pdr_hi;
+  res.best_protection_mw = rev.protection_mw;
+}
+
+bool offer(ExplorationResult& res, const model::NetworkConfig& cfg,
+           const RobustEvaluation& rev, double pdr_min) {
+  res.history.push_back(robust_record(cfg, rev));
+  const bool better =
+      rev.worst_pdr >= pdr_min &&
+      (!res.feasible || rev.robust_power_mw < res.best_power_mw);
+  if (better) {
+    set_incumbent(res, cfg, rev);
+  }
+  return better;
 }
 
 }  // namespace detail

@@ -1,13 +1,16 @@
 // hi-opt: the unified explorer front end.
 //
-// The three exploration strategies — Algorithm 1 (MILP + simulation),
-// exhaustive search, and simulated annealing — historically each grew
-// their own options struct with duplicated knobs (pdr_min, threads).
-// ExplorationOptions is the one bag every explorer consumes; the knobs a
-// strategy does not use are simply ignored, so one options value can
-// drive a fair three-way comparison.  Explorer is a small value type
-// that names a strategy and dispatches run(); benches iterate
-// Explorer::all() instead of hand-rolling three call sites.
+// The four exploration strategies — Algorithm 1 (MILP + simulation),
+// exhaustive search, simulated annealing and the fast-ILP heuristic —
+// consume one options bag, ExplorationOptions; the knobs a strategy does
+// not use are simply ignored, so one options value can drive a fair
+// side-by-side comparison.  Explorer is a small value type that names a
+// strategy and dispatches run(); benches iterate Explorer::all() instead
+// of hand-rolling one call site per strategy.
+//
+// Every strategy evaluates through RobustBatch (a nominal run is the
+// K = 1, Γ = 0 fold), and the two MILP-driven ones — Algorithm 1 and
+// fast-ILP — are stop rules on the one level walk in dse/level_walk.hpp.
 //
 // Observability: every run is wrapped in a detail::RunScope that
 // installs the active obs::MetricsRegistry into the evaluator (the
@@ -125,9 +128,9 @@ struct ExplorationOptions {
 
   // --- robustness (DESIGN.md §13) ------------------------------------
   /// Γ / multi-realization knobs consumed by every explorer.  Inactive
-  /// (the default) selects the pre-robust code paths bit-identically;
-  /// active runs judge feasibility on the worst realization and
-  /// optimize worst-case power + Γ-protection.  Robust Algorithm 1
+  /// (the default) is the K = 1, Γ = 0 fold, bit-identical to plain
+  /// evaluation; active runs judge feasibility on the worst realization
+  /// and optimize worst-case power + Γ-protection.  Robust Algorithm 1
   /// supports only the kSoundFloor termination bound.
   RobustnessOptions robust{};
 
@@ -204,7 +207,7 @@ class Explorer {
 
 namespace detail {
 
-/// RAII harness shared by the three run_* functions: validates the
+/// RAII harness shared by the run_* functions: validates the
 /// common options, resolves the active registry (see the file comment)
 /// and installs it into the evaluator, snapshots the metrics baseline,
 /// and on finish() fills the result's simulations / wall_time_s /
@@ -242,6 +245,16 @@ class RunScope {
   int threads_ = 0;
   double t0_s_ = 0.0;  ///< steady-clock start, in seconds
 };
+
+/// Makes (cfg, rev) the incumbent of `res`.
+void set_incumbent(ExplorationResult& res, const model::NetworkConfig& cfg,
+                   const RobustEvaluation& rev);
+
+/// Appends (cfg, rev) to res.history and makes it the incumbent when it
+/// meets `pdr_min` and is strictly cheaper than the current one (the
+/// first of equal-power candidates wins).  Returns true when it did.
+bool offer(ExplorationResult& res, const model::NetworkConfig& cfg,
+           const RobustEvaluation& rev, double pdr_min);
 
 }  // namespace detail
 

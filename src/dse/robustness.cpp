@@ -116,7 +116,7 @@ CandidateRecord robust_record(const model::NetworkConfig& cfg,
 
 RobustBatch::RobustBatch(Evaluator& eval, int threads,
                          RobustnessOptions robust)
-    : eval_(eval), robust_(robust) {
+    : eval_(eval), robust_(robust.active() ? robust : RobustnessOptions{}) {
   require_valid(robust_);
   HI_REQUIRE(threads >= 0, "threads must be >= 0, got " << threads);
   batches_.reserve(static_cast<std::size_t>(robust_.realizations));

@@ -19,11 +19,12 @@
 //    protection is added to the measured worst-case power, making the
 //    robust objective  max_k P_k + protection(Γ)  — monotone in Γ.
 //
-// RobustBatch is the RunSim of the robust explorers: it fans a
+// RobustBatch is the RunSim of every explorer and sweep: it fans a
 // candidate batch across the K realization evaluators (each through its
-// own exec::BatchEvaluator, realization 0 first, so request order and
-// counters stay bit-identical to the nominal path at any thread count)
-// and folds the per-realization results into RobustEvaluations.
+// own exec::BatchEvaluator, realization 0 first, so the nominal
+// evaluator sees the same request order — and counters — at any K and
+// any thread count) and folds the per-realization results into
+// RobustEvaluations.  K = 1, Γ = 0 is the nominal run.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,8 @@ namespace hi::dse {
 
 /// The robustness knob threaded through ExplorationOptions, hi_campaign
 /// and the store fingerprints.  The default (Γ = 0, K = 1) is inactive:
-/// every explorer then takes its pre-robust code path, bit-identically.
+/// the explorers still fold through RobustBatch, and that fold collapses
+/// bit-identically onto the nominal evaluation.
 struct RobustnessOptions {
   int gamma = 0;          ///< deviation budget: links the adversary may degrade
   int realizations = 1;   ///< K independent channel realizations
@@ -91,7 +93,9 @@ struct RobustEvaluation {
 /// See file comment.  Holds one BatchEvaluator per realization (so K
 /// pools of `threads` workers when threads >= 1 — sized for the K <= 8
 /// regime the CLI exposes); the evaluator must outlive the batch and
-/// must not be used directly while a call is in flight.
+/// must not be used directly while a call is in flight.  Inactive
+/// options are replaced by the defaults (K = 1, Γ = 0): the nominal fold
+/// every explorer and sweep evaluates through.
 class RobustBatch {
  public:
   RobustBatch(Evaluator& eval, int threads, RobustnessOptions robust);

@@ -4,26 +4,11 @@
 #include <limits>
 #include <ostream>
 
+#include "common/json_string.hpp"
+
 namespace hi::obs {
 
 namespace {
-
-/// Escapes the characters JSON cannot carry raw.  Metric names are
-/// dotted ASCII identifiers in practice, but sinks must not emit broken
-/// documents for unusual ones.
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 void write_json_double(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
@@ -101,7 +86,7 @@ void Snapshot::write_json(std::ostream& os) const {
   bool first = true;
   for (const auto& [name, v] : counters) {
     os << (first ? "" : ", ");
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": " << v;
     first = false;
   }
@@ -109,7 +94,7 @@ void Snapshot::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, v] : gauges) {
     os << (first ? "" : ", ");
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": ";
     write_json_double(os, v);
     first = false;
@@ -118,7 +103,7 @@ void Snapshot::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, h] : histograms) {
     os << (first ? "" : ", ");
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": {\"count\": " << h.count << ", \"sum\": ";
     write_json_double(os, h.sum);
     os << ", \"min\": ";

@@ -45,7 +45,7 @@ struct FrontPoint {
   double protection_mw = 0.0;  ///< Γ-protection included in power_mw
 };
 
-/// Builds a FrontPoint from a nominal evaluation.
+/// Builds a FrontPoint from a nominal evaluation: the K = 1, Γ = 0 fold.
 [[nodiscard]] FrontPoint make_point(const model::NetworkConfig& cfg,
                                     const dse::Evaluation& ev);
 

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <optional>
 
 #include "common/assert.hpp"
-#include "dse/milp_encoding.hpp"
-#include "exec/batch_evaluator.hpp"
-#include "model/power.hpp"
+#include "dse/level_walk.hpp"
 
 namespace hi::pareto {
 
@@ -33,97 +29,81 @@ std::vector<double> canonical_ladder(const std::vector<double>& ladder) {
   return rungs;
 }
 
-/// Installs the sweep's registry on the evaluator for the call's
-/// duration (mirrors dse::detail::RunScope; restores the previous one).
-class MetricsScope {
+void offer(RungResult& rung, const FrontPoint& p) {
+  if (p.pdr >= rung.pdr_min && (!rung.feasible || lex_before(p, rung.best))) {
+    rung.feasible = true;
+    rung.best = p;
+  }
+}
+
+/// Per-sweep harness (mirrors dse::detail::RunScope): installs the
+/// sweep's registry on the evaluator for the call's duration.
+class SweepScope {
  public:
-  MetricsScope(dse::Evaluator& eval, obs::MetricsRegistry* m)
-      : eval_(eval), installed_(m != nullptr) {
-    if (installed_) prev_ = eval_.set_metrics(m);
+  SweepScope(dse::Evaluator& eval, obs::MetricsRegistry* m)
+      : eval_(eval), metrics_(m), t0_s_(steady_now_s()) {
+    if (metrics_ != nullptr) prev_ = eval_.set_metrics(metrics_);
+    sims0_ = eval_.total_simulations();
+    store0_ = eval_.total_store_hits();
   }
-  ~MetricsScope() {
-    if (installed_) eval_.set_metrics(prev_);
+  ~SweepScope() {
+    if (metrics_ != nullptr) eval_.set_metrics(prev_);
   }
-  MetricsScope(const MetricsScope&) = delete;
-  MetricsScope& operator=(const MetricsScope&) = delete;
+  SweepScope(const SweepScope&) = delete;
+  SweepScope& operator=(const SweepScope&) = delete;
+
+  void finish(SweepResult& res, const FrontBuilder& fb) const {
+    res.simulations = eval_.total_simulations() - sims0_;
+    res.store_hits = eval_.total_store_hits() - store0_;
+    res.wall_time_s = steady_now_s() - t0_s_;
+    if (metrics_ == nullptr) return;
+    metrics_->counter("pareto.points_offered").add(fb.offered());
+    metrics_->counter("pareto.dominated_dropped").add(fb.dominated_dropped());
+    metrics_->counter("pareto.displaced").add(fb.displaced());
+    metrics_->gauge("pareto.front_size")
+        .set(static_cast<double>(res.front.size()));
+    metrics_->counter("pareto.sweeps").add(1);
+  }
 
  private:
   dse::Evaluator& eval_;
-  bool installed_;
+  obs::MetricsRegistry* metrics_;
   obs::MetricsRegistry* prev_ = nullptr;
+  double t0_s_;
+  std::uint64_t sims0_ = 0;
+  std::uint64_t store0_ = 0;
 };
-
-/// Evaluates `cfgs` through the mode-appropriate batch engine and
-/// returns FrontPoints aligned with `cfgs`.
-std::vector<FrontPoint> evaluate_points(
-    const std::vector<model::NetworkConfig>& cfgs, dse::Evaluator& eval,
-    const SweepOptions& opt) {
-  std::vector<FrontPoint> out;
-  out.reserve(cfgs.size());
-  if (opt.robust.active()) {
-    dse::RobustBatch rbatch(eval, opt.threads, opt.robust);
-    const std::vector<dse::RobustEvaluation> revs = rbatch.evaluate(cfgs);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      out.push_back(make_point(cfgs[i], revs[i]));
-    }
-  } else {
-    exec::BatchEvaluator batch(eval, opt.threads);
-    const std::vector<const dse::Evaluation*> evals = batch.evaluate(cfgs);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      out.push_back(make_point(cfgs[i], *evals[i]));
-    }
-  }
-  return out;
-}
-
-void record_front_counters(obs::MetricsRegistry* m, const FrontBuilder& fb,
-                           const SweepResult& res) {
-  if (m == nullptr) return;
-  m->counter("pareto.points_offered").add(fb.offered());
-  m->counter("pareto.dominated_dropped").add(fb.dominated_dropped());
-  m->counter("pareto.displaced").add(fb.displaced());
-  m->gauge("pareto.front_size").set(static_cast<double>(res.front.size()));
-  m->counter("pareto.sweeps").add(1);
-}
 
 }  // namespace
 
 SweepResult exhaustive_front(const model::Scenario& scenario,
                              dse::Evaluator& eval, const SweepOptions& opt) {
-  const double t0 = steady_now_s();
   const std::vector<double> rungs = canonical_ladder(opt.pdr_ladder);
-  MetricsScope scope(eval, opt.metrics);
-  const std::uint64_t sims0 = eval.total_simulations();
-  const std::uint64_t store0 = eval.total_store_hits();
+  SweepScope scope(eval, opt.metrics);
 
   const std::vector<model::NetworkConfig> cfgs = scenario.feasible_configs();
-  const std::vector<FrontPoint> points = evaluate_points(cfgs, eval, opt);
-
-  SweepResult res;
+  const std::vector<dse::RobustEvaluation> revs =
+      dse::RobustBatch(eval, opt.threads, opt.robust).evaluate(cfgs);
+  std::vector<FrontPoint> points;
+  points.reserve(cfgs.size());
   FrontBuilder fb(opt.front);
-  for (const FrontPoint& p : points) {
-    fb.insert(p);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    points.push_back(make_point(cfgs[i], revs[i]));
+    fb.insert(points.back());
   }
+  SweepResult res;
   res.front = fb.front();
   // Per-rung optima fall out of the same evaluations: the lex_before
   // minimum among points meeting the rung.
   for (double pdr_min : rungs) {
-    RungResult rr;
-    rr.pdr_min = pdr_min;
+    RungResult rr{pdr_min};
     for (const FrontPoint& p : points) {
-      if (p.pdr < pdr_min) continue;
-      if (!rr.feasible || lex_before(p, rr.best)) {
-        rr.feasible = true;
-        rr.best = p;
-      }
+      offer(rr, p);
     }
     res.rungs.push_back(rr);
   }
   res.evaluated = points.size();
-  res.simulations = eval.total_simulations() - sims0;
-  res.store_hits = eval.total_store_hits() - store0;
-  res.wall_time_s = steady_now_s() - t0;
-  record_front_counters(opt.metrics, fb, res);
+  scope.finish(res, fb);
   if (opt.progress) {
     opt.progress(1);
   }
@@ -132,109 +112,33 @@ SweepResult exhaustive_front(const model::Scenario& scenario,
 
 SweepResult ladder_front(const model::Scenario& scenario, dse::Evaluator& eval,
                          const SweepOptions& opt) {
-  const double t0 = steady_now_s();
   const std::vector<double> rung_bounds = canonical_ladder(opt.pdr_ladder);
-  MetricsScope scope(eval, opt.metrics);
-  const std::uint64_t sims0 = eval.total_simulations();
-  const std::uint64_t store0 = eval.total_store_hits();
-
-  const bool robust = opt.robust.active();
-  const int gamma = robust ? opt.robust.gamma : 0;
-  dse::MilpEncoding encoding(scenario, gamma);
-  milp::Options milp_opt = opt.milp;
-  if (opt.metrics != nullptr) {
-    milp_opt.metrics = opt.metrics;
-  }
-
-  // Sound termination bounds, per rung: one Γ-protected analytic cost
-  // per (Tx level, routing, N) cell plus a measured-power floor at each
-  // rung's PDRmin (Algorithm 1's CellBound, vectorized over rungs —
-  // see dse/algorithm1.cpp for the soundness argument).
-  struct Cell {
-    double cost_mw;
-    std::vector<double> floor_mw;  ///< aligned with rung_bounds
-  };
-  std::vector<Cell> cells;
-  {
-    const net::SimParams& sp = eval.settings().sim;
-    for (int lvl = 0; lvl < scenario.chip.num_tx_levels(); ++lvl) {
-      for (const auto rt :
-           {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
-        for (int n = scenario.min_nodes; n <= scenario.max_nodes; ++n) {
-          model::Topology t;
-          for (int i = 0; i < n; ++i) t.set(i, true);
-          const model::NetworkConfig cell_cfg = scenario.make_config(
-              t, lvl, model::MacProtocol::kCsma, rt);
-          const double prot = model::robust_protection_mw(cell_cfg, gamma);
-          Cell cell;
-          cell.cost_mw = model::node_power_mw(cell_cfg) + prot;
-          cell.floor_mw.reserve(rung_bounds.size());
-          for (double pdr_min : rung_bounds) {
-            cell.floor_mw.push_back(
-                model::measured_power_floor_mw(cell_cfg, pdr_min,
-                                               sp.duration_s, sp.gen_guard_s) +
-                prot);
-          }
-          cells.push_back(std::move(cell));
-        }
-      }
-    }
-  }
-  const auto min_remaining_floor = [&](double level_mw, std::size_t rung) {
-    double lo = std::numeric_limits<double>::infinity();
-    for (const Cell& c : cells) {
-      if (c.cost_mw > level_mw + 1e-12) {
-        lo = std::min(lo, c.floor_mw[rung]);
-      }
-    }
-    return lo;
-  };
-
-  struct Rung {
-    double pdr_min;
-    bool open = true;
-    bool have = false;
-    FrontPoint best{};
-  };
-  std::vector<Rung> rungs;
-  rungs.reserve(rung_bounds.size());
-  for (double pdr_min : rung_bounds) {
-    rungs.push_back(Rung{pdr_min});
-  }
+  SweepScope scope(eval, opt.metrics);
+  // The floor table covers every rung's PDRmin (see dse/level_walk.hpp).
+  dse::LevelWalk walk(scenario, eval, opt.threads, opt.robust, rung_bounds);
 
   SweepResult res;
-  std::optional<exec::BatchEvaluator> batch;
-  std::optional<dse::RobustBatch> rbatch;
-  if (robust) {
-    rbatch.emplace(eval, opt.threads, opt.robust);
-  } else {
-    batch.emplace(eval, opt.threads);
+  for (double pdr_min : rung_bounds) {
+    res.rungs.push_back(RungResult{pdr_min});
   }
+  std::vector<bool> open(rung_bounds.size(), true);
 
-  int rounds = 0;
-  for (; rounds < opt.max_rounds; ++rounds) {
-    const dse::MilpRound round = encoding.run_milp(milp_opt);
-    if (round.candidates.empty()) {
-      // MILP dry: every feasible configuration has been proposed and
-      // evaluated, so every incumbent is final and rungs without one
-      // are genuinely infeasible.
-      for (Rung& r : rungs) r.open = false;
-      break;
-    }
+  dse::LevelWalk::Rules rules;
+  // Close every rung whose certificate holds at this level: all cells at
+  // or above it — including the one just proposed — have their measured
+  // floor above the rung's incumbent, so no remaining simulation can win
+  // (nor tie: the bound is strict).  Stop once every front point is
+  // certified without touching this level.
+  rules.stop_before_sim = [&](const dse::MilpRound& round) {
     ++res.milp_rounds;
     res.milp_bnb_nodes += round.bnb_nodes;
-
-    // Close every rung whose certificate holds at this level: all cells
-    // at or above it — including the one just proposed — have their
-    // measured floor above the rung's incumbent, so no remaining
-    // simulation can win (nor tie: the bound is strict).
     bool any_open = false;
-    for (std::size_t ri = 0; ri < rungs.size(); ++ri) {
-      Rung& r = rungs[ri];
-      if (!r.open) continue;
-      if (r.have && min_remaining_floor(round.power_mw - 2.0 * 1e-12, ri) >
-                        r.best.power_mw) {
-        r.open = false;
+    for (std::size_t ri = 0; ri < open.size(); ++ri) {
+      if (!open[ri]) continue;
+      const RungResult& r = res.rungs[ri];
+      if (r.feasible &&
+          walk.floor_from(round.power_mw, ri) > r.best.power_mw) {
+        open[ri] = false;
         if (opt.metrics != nullptr) {
           opt.metrics->counter("pareto.rungs_closed_by_floor").add(1);
         }
@@ -242,68 +146,43 @@ SweepResult ladder_front(const model::Scenario& scenario, dse::Evaluator& eval,
       }
       any_open = true;
     }
-    if (!any_open) {
-      break;  // every front point certified without touching this level
-    }
-
-    std::vector<FrontPoint> points;
-    if (robust) {
-      const std::vector<dse::RobustEvaluation> revs =
-          rbatch->evaluate(round.candidates);
-      points.reserve(revs.size());
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        points.push_back(make_point(round.candidates[i], revs[i]));
-      }
-    } else {
-      const std::vector<const dse::Evaluation*> evals =
-          batch->evaluate(round.candidates);
-      points.reserve(evals.size());
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        points.push_back(make_point(round.candidates[i], *evals[i]));
+    return !any_open;
+  };
+  rules.stop_after_sim = [&](const dse::MilpRound& round,
+                             const std::vector<dse::RobustEvaluation>& revs) {
+    res.evaluated += revs.size();
+    for (std::size_t i = 0; i < revs.size(); ++i) {
+      const FrontPoint p = make_point(round.candidates[i], revs[i]);
+      for (std::size_t ri = 0; ri < open.size(); ++ri) {
+        if (open[ri]) offer(res.rungs[ri], p);
       }
     }
-    res.evaluated += points.size();
-
-    for (const FrontPoint& p : points) {
-      for (Rung& r : rungs) {
-        if (!r.open || p.pdr < r.pdr_min) continue;
-        if (!r.have || lex_before(p, r.best)) {
-          r.have = true;
-          r.best = p;
-        }
-      }
-    }
-
-    encoding.add_power_cut_above(round.power_mw);
+    return false;
+  };
+  rules.after_cut = [&](int levels) {
     if (opt.metrics != nullptr) {
       opt.metrics->counter("pareto.cuts_added").add(1);
     }
     if (opt.progress) {
-      opt.progress(rounds + 1);
+      opt.progress(levels);
     }
-  }
-  res.complete = std::none_of(rungs.begin(), rungs.end(),
-                              [](const Rung& r) { return r.open; });
+  };
+  // A walk that ends inside its budget has certified every rung: the
+  // MILP ran dry (every incumbent is final, rungs without one are
+  // genuinely infeasible) or every rung closed.
+  res.complete =
+      walk.run(opt.milp, opt.max_rounds, opt.metrics, nullptr, rules) <
+      opt.max_rounds;
 
   FrontBuilder fb(opt.front);
-  for (const Rung& r : rungs) {
-    RungResult rr;
-    rr.pdr_min = r.pdr_min;
-    rr.feasible = r.have;
-    rr.best = r.best;
-    res.rungs.push_back(rr);
-    if (r.have) {
-      fb.insert(r.best);
-    }
+  for (const RungResult& r : res.rungs) {
+    if (r.feasible) fb.insert(r.best);
   }
   res.front = fb.front();
-  res.simulations = eval.total_simulations() - sims0;
-  res.store_hits = eval.total_store_hits() - store0;
-  res.wall_time_s = steady_now_s() - t0;
   if (opt.metrics != nullptr) {
     opt.metrics->counter("pareto.milp_rounds").add(res.milp_rounds);
   }
-  record_front_counters(opt.metrics, fb, res);
+  scope.finish(res, fb);
   return res;
 }
 

@@ -7,12 +7,12 @@
 //    and keeps the non-dominated set.  The definitive exact front, and
 //    the oracle the tier-1 differential test holds the ladder against.
 //
-//  * ladder_front — walks a PDRmin ladder the way Algorithm 1 walks one
-//    bound, but for all rungs at once: ONE MilpEncoding proposes levels
-//    in ascending analytic power, each level's whole alternative-optima
-//    pool is batch-evaluated once, every rung updates its incumbent
-//    from the shared evaluations, and the level is cut
-//    (add_power_cut_above).  A rung closes when the sound measured-power
+//  * ladder_front — a stop rule on Algorithm 1's level walk
+//    (dse/level_walk.hpp), for all rungs at once: ONE MilpEncoding
+//    proposes levels in ascending analytic power, each level's whole
+//    alternative-optima pool is batch-evaluated once, every rung updates
+//    its incumbent from the shared evaluations, and the level is cut.
+//    A rung closes when the sound measured-power
 //    floor of every un-proposed cell exceeds its incumbent — the same
 //    certificate Algorithm 1 uses, per rung.  Each front point
 //    therefore costs at most one MILP solve plus simulations that the
@@ -25,12 +25,12 @@
 //    before the lexicographic minimum — a contradiction.  The emitted
 //    front is the non-dominated subset of the certified rung optima.
 //
-// RobustnessOptions compose: when active, candidates are folded through
-// dse::RobustBatch, objectives become (robust power, worst-case PDR,
-// worst-realization p95), the MILP proposes Γ-protected levels, and the
-// floor certificate carries the same protection — so Γ-robust fronts
-// fall out of the identical control flow.  Γ=0/K=1 is bit-identical to
-// the nominal path.
+// RobustnessOptions compose: candidates are always folded through
+// dse::RobustBatch; when active, objectives become (robust power,
+// worst-case PDR, worst-realization p95), the MILP proposes Γ-protected
+// levels, and the floor certificate carries the same protection — so
+// Γ-robust fronts fall out of the identical control flow.  Inactive
+// options are the K = 1, Γ = 0 fold, bit-identical to plain evaluation.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,6 @@
 #include <array>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
 #include <optional>
@@ -23,6 +22,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/json_string.hpp"
 
 namespace hi::store::detail {
 
@@ -33,27 +34,6 @@ inline std::string fmt_double(double v) {
   const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
   if (ec != std::errc{}) return "0";
   return std::string(buf.data(), end);
-}
-
-inline void put_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof esc, "\\u%04x", c);
-          out += esc;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 /// Parsed JSON tree node; see the file comment for the supported grammar.

@@ -524,7 +524,6 @@ namespace {
 using detail::JsonParser;
 using detail::JsonValue;
 using detail::fmt_double;
-using detail::put_json_string;
 using ScenarioBuilder = detail::ObjectReader;
 
 }  // namespace

@@ -25,7 +25,9 @@ TEST(Locations, DistancesAreMetricLike) {
     EXPECT_DOUBLE_EQ(euclidean_distance_m(i, i), 0.0);
     for (int j = 0; j < kNumLocations; ++j) {
       EXPECT_DOUBLE_EQ(euclidean_distance_m(i, j), euclidean_distance_m(j, i));
-      if (i != j) EXPECT_GT(euclidean_distance_m(i, j), 0.0);
+      if (i != j) {
+        EXPECT_GT(euclidean_distance_m(i, j), 0.0);
+      }
     }
   }
   // Sanity: chest-hip is much shorter than chest-ankle.

@@ -22,6 +22,10 @@ namespace {
 std::uint64_t g_heap_allocs = 0;
 }  // namespace
 
+// GCC pairs its built-in knowledge of operator new with the free()
+// below and reports a mismatch, but every replacement here is malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t n) {
   ++g_heap_allocs;
   if (void* p = std::malloc(n ? n : 1)) return p;
@@ -36,6 +40,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hi::des {
 namespace {

@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/report.hpp"
 #include "channel/channel.hpp"
 #include "check/scenario_gen.hpp"
 #include "check/store_props.hpp"
+#include "common/json_string.hpp"
 #include "dse/evaluator.hpp"
 #include "model/design_space.hpp"
+#include "obs/metrics.hpp"
+#include "store/json.hpp"
 #include "store/serialize.hpp"
 
 namespace {
@@ -222,6 +227,56 @@ TEST(StoreSerialize, ScenarioJsonRejectsUnknownKeysAndGarbage) {
   json.replace(json.find(key), key.size(), "\"max_hopz\"");
   EXPECT_FALSE(store::scenario_from_json(json, &err).has_value());
   EXPECT_NE(err.find("max_hopz"), std::string::npos);
+}
+
+TEST(StoreSerialize, EveryJsonEmitterRoundTripsEscapedStrings) {
+  // A quote, a backslash, a newline and a raw control byte: every
+  // document writer shares common/json_string.hpp, and the store's
+  // parser must read each document back with the string intact.
+  const std::string nasty = "a\"b\\c\nd\x01e";
+  const auto parse = [](const std::string& doc) {
+    EXPECT_EQ(doc.find('\x01'), std::string::npos) << "raw control byte";
+    std::string err;
+    std::optional<store::detail::JsonValue> v =
+        store::detail::JsonParser(doc).parse(&err);
+    EXPECT_TRUE(v.has_value()) << err << " in " << doc;
+    return v.value_or(store::detail::JsonValue{});
+  };
+  const auto text_at = [](const store::detail::JsonValue& v,
+                          const char* key) {
+    const store::detail::JsonValue* f = v.find(key);
+    return f != nullptr ? f->text : std::string("<missing>");
+  };
+
+  EXPECT_EQ(parse(json_string(nasty)).text, nasty);
+
+  model::Scenario sc;
+  sc.chip.name = nasty;
+  std::string err;
+  const auto back = store::scenario_from_json(store::scenario_to_json(sc), &err);
+  ASSERT_TRUE(back.has_value()) << err;
+  EXPECT_EQ(back->chip.name, nasty);
+
+  obs::MetricsRegistry reg;
+  reg.counter(nasty).add(3);
+  std::ostringstream snap;
+  reg.snapshot().write_json(snap);
+  const store::detail::JsonValue counters = *parse(snap.str()).find("counters");
+  ASSERT_EQ(counters.fields.size(), 1u);
+  EXPECT_EQ(counters.fields[0].first, nasty);
+
+  campaign::CampaignReport rep;
+  rep.store_path = nasty;
+  std::ostringstream rep_json;
+  rep.print(rep_json, /*json=*/true);
+  EXPECT_EQ(text_at(parse(rep_json.str()), "store"), nasty);
+
+  campaign::FleetReport fleet;
+  fleet.shard_dir = nasty;
+  fleet.merged_path = nasty;
+  const store::detail::JsonValue fj = parse(fleet.to_json());
+  EXPECT_EQ(text_at(fj, "shard_dir"), nasty);
+  EXPECT_EQ(text_at(fj, "merged_store"), nasty);
 }
 
 }  // namespace

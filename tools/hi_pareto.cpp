@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "check/scenario_gen.hpp"
+#include "common/json_string.hpp"
 #include "model/design_space.hpp"
 #include "pareto/sweep.hpp"
 #include "store/serialize.hpp"
@@ -72,20 +73,9 @@ std::string fmt_double(double v) {
   return std::string(buf.data(), end);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 void emit_point(std::ostream& os, const hi::pareto::FrontPoint& p,
                 const char* indent) {
-  os << indent << "{\"label\": \"" << json_escape(p.cfg.label()) << "\", "
+  os << indent << "{\"label\": " << hi::json_string(p.cfg.label()) << ", "
      << "\"design_key\": " << p.cfg.design_key() << ", "
      << "\"power_mw\": " << fmt_double(p.power_mw) << ", "
      << "\"pdr\": " << fmt_double(p.pdr) << ", "
