@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_string.hpp"
 #include "dse/evaluator.hpp"
 #include "model/design_space.hpp"
 
@@ -121,16 +122,17 @@ class BenchReport {
     os.precision(17);
     os << "{\n"
        << "  \"schema\": \"hi-bench/v1\",\n"
-       << "  \"bench\": \"" << bench_ << "\",\n"
+       << "  \"bench\": " << json_string(bench_) << ",\n"
        << "  \"quick\": " << (quick_mode() ? "true" : "false") << ",\n"
        << "  \"settings\": {\"tsim_s\": " << tsim_s_ << ", \"runs\": "
        << runs_ << ", \"seed\": " << seed_ << "},\n"
        << "  \"metrics\": [\n";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       const BenchMetric& m = metrics_[i];
-      os << "    {\"name\": \"" << m.name << "\", \"unit\": \"" << m.unit
-         << "\", \"value\": " << m.value << ", \"better\": \"" << m.better
-         << "\", \"gate\": " << (m.gate ? "true" : "false")
+      os << "    {\"name\": " << json_string(m.name)
+         << ", \"unit\": " << json_string(m.unit) << ", \"value\": "
+         << m.value << ", \"better\": " << json_string(m.better)
+         << ", \"gate\": " << (m.gate ? "true" : "false")
          << ", \"items\": " << m.items << ", \"wall_s\": " << m.wall_s
          << "}" << (i + 1 < metrics_.size() ? "," : "") << "\n";
     }

@@ -11,10 +11,13 @@
 //
 // Determinism contracts (DESIGN.md §15):
 //
-//   * M=1 collapse — simulate_crowd with one body is bit-identical to
-//     net::simulate: body 0's RNG lane IS params.seed, the crowd
-//     channel degenerates to the single BodyChannel, and the node
-//     stacks + metrics come from the same net::detail code.
+//   * M=1 collapse — simulate_crowd with one body IS net::simulate:
+//     both are net::detail::run_bodies (node stacks, run loop, per-body
+//     metrics, counter flush), body 0's RNG lane is params.seed, and
+//     the crowd channel degenerates to the single BodyChannel.  What
+//     lives here is only what is crowd-specific: canonical body order,
+//     the per-body RNG lanes, the mapping back to input order, and the
+//     per-body summary rows.
 //
 //   * body-relabeling invariance — bodies are built in canonical
 //     placement order (sorted by (y, x, input index)), and each body's
@@ -57,7 +60,7 @@ struct CrowdResult {
   /// the coexistence counters.
   net::SimResult summary;
   /// Full per-body results in input placement order.  Body-local node
-  /// rows, metrics from the shared net::detail::summarize_nodes — for
+  /// rows and metrics as net::detail::run_bodies computes them — for
   /// M == 1 per_body[0] matches the aggregate's metric fields.
   std::vector<net::SimResult> per_body;
 };
@@ -76,11 +79,11 @@ struct CrowdResult {
                                          channel::ChannelModel& channel,
                                          const net::SimParams& params);
 
-/// `runs` independent replications (fresh crowd channel + fresh seeds,
-/// derived from params exactly like net::simulate_averaged — same fork
-/// labels, same ^ 0xC0FFEE channel-seed whitening) with averaged
-/// metrics; the returned summary carries the first run's per-body rows
-/// and the replication-summed coexistence counters.
+/// `runs` independent replications (fresh crowd channel + fresh seeds)
+/// through net::simulate_averaged's own loop and fold,
+/// net::detail::replicate, with averaged metrics; the returned summary
+/// carries the first run's per-body rows and the replication-summed
+/// coexistence counters.
 [[nodiscard]] CrowdResult simulate_crowd_averaged(
     const model::CrowdScenario& sc, const net::SimParams& params, int runs);
 
@@ -112,7 +115,8 @@ struct SweepOptions {
   /// Durable cache; null = always simulate.  Points are keyed by
   /// crowd_point_fingerprint, fresh results are written through.
   store::EvalStore* store = nullptr;
-  /// Nullable; receives crowd.* / net.crowd_* / dse.store_hits counters.
+  /// Nullable; receives crowd.* / dse.store_hits counters and every
+  /// run's des.* / net.* flush (net.crowd_* from points with M > 1).
   obs::MetricsRegistry* metrics = nullptr;
   /// Invoked after each point commits, in sweep order.
   std::function<void(const SweepPoint&)> progress;

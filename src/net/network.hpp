@@ -5,6 +5,13 @@
 // Tsim seconds, and evaluates the paper's performance metrics:
 // per-node and network PDR (Eqs. 6-7) and per-node power / network
 // lifetime (Eq. 4).
+//
+// One driver (DESIGN.md §15): detail::run_bodies simulates M bodies of
+// one configuration on one kernel and one shared medium, and owns node
+// construction, the run loop, the per-body metrics and the one counter
+// flush.  simulate() is its M = 1 case; hi::crowd is the M > 1 caller.
+// Likewise detail::replicate is the one replication loop and fold
+// behind simulate_averaged and crowd::simulate_crowd_averaged.
 #pragma once
 
 #include <functional>
@@ -12,11 +19,13 @@
 #include <vector>
 
 #include "channel/channel.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "model/config.hpp"
 #include "net/csma.hpp"
 #include "net/latency.hpp"
 #include "net/medium.hpp"
+#include "net/radio.hpp"
 #include "net/routing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -135,5 +144,51 @@ using ChannelFactory =
     const model::NetworkConfig& cfg, const SimParams& params, int runs,
     const ChannelFactory& make_channel = default_channel_factory(),
     RunningStats* pdr_spread = nullptr, RunningStats* power_spread = nullptr);
+
+namespace detail {
+
+/// Outcome of one run_bodies call.
+struct BodiesResult {
+  /// One result per body, in lane order: node rows and the Eqs. (4),
+  /// (6), (7) metrics of that body alone; `medium` / `events` stay zero
+  /// (they are shared, see below).
+  std::vector<SimResult> bodies;
+  MediumStats medium;          ///< the shared medium
+  std::uint64_t events = 0;    ///< the one kernel
+  RadioCrowdStats crowd;       ///< summed over every radio of every body
+};
+
+/// The one simulation driver: `lanes.size()` bodies of `cfg` on one
+/// kernel and one medium over `channel`.  Body b draws its node
+/// randomness from `lanes[b]`, carries net id b, and its node at
+/// location `loc` is channel id b * kNumLocations + loc, so one lane
+/// {Rng(params.seed)} is exactly simulate().  Flushes the run's
+/// counters once into params.metrics: the full des.* / net.* set summed
+/// over all bodies, plus the net.crowd_* ledger only when there is more
+/// than one body.  Same concurrency contract as simulate().
+[[nodiscard]] BodiesResult run_bodies(const model::NetworkConfig& cfg,
+                                      channel::ChannelModel& channel,
+                                      const SimParams& params,
+                                      const std::vector<Rng>& lanes);
+
+/// One replication: simulate under `run_params` (seed already forked)
+/// over a fresh channel built from `channel_seed`.
+using Replica = std::function<SimResult(const SimParams& run_params,
+                                        std::uint64_t channel_seed)>;
+
+/// The one replication loop: `runs` calls of `run`, replication r with
+/// seed fork r of params.seed and channel seed fork r of
+/// params.channel_seed (or params.seed when 0), whitened by a fixed xor.
+/// Folds the results into the first run's SimResult: PDR and powers
+/// averaged (lifetime from the averaged worst power and `battery_j`),
+/// events summed, latency averaged when the runs collected it, and the
+/// crowd ledger (min body PDR averaged, counters summed) when present.
+/// `pdr_spread` / `power_spread` as in simulate_averaged.
+[[nodiscard]] SimResult replicate(const SimParams& params, int runs,
+                                  double battery_j, const Replica& run,
+                                  RunningStats* pdr_spread = nullptr,
+                                  RunningStats* power_spread = nullptr);
+
+}  // namespace detail
 
 }  // namespace hi::net

@@ -3,9 +3,9 @@
 // Two contracts are pinned here.  First, the M=1 collapse: a crowd of
 // one body must reproduce the *existing* single-body golden rows (see
 // test_sim_golden.cpp) bit for bit — same doubles, same event counts —
-// because body 0's RNG lane IS params.seed, the crowd channel
-// degenerates to the single BodyChannel, and the node stacks come from
-// the same net::detail code.  Second, new multi-body rows pin the
+// because both are the one driver, net::detail::run_bodies, body 0's
+// RNG lane IS params.seed, and the crowd channel degenerates to the
+// single BodyChannel — down to the counters the run flushes.  Second, new multi-body rows pin the
 // coexistence machinery itself for M ∈ {2, 4, 8}: batched cross-body
 // fades, SINR under foreign interference, and the net-id decode filter.
 // As with the single-body rows: if a future change breaks a row on
@@ -22,6 +22,7 @@
 #include "crowd/crowd.hpp"
 #include "model/design_space.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace hi {
 namespace {
@@ -102,7 +103,11 @@ TEST(CrowdGolden, M1CollapsesToSingleBodyGoldens) {
     // the same (degenerate) channel seed field by field.
     const auto channel =
         crowd::make_crowd_channel_for(sc, row.seed ^ 0xABCDEF);
-    const crowd::CrowdResult cr = crowd::simulate_crowd(sc, *channel, sp);
+    obs::MetricsRegistry crowd_metrics;
+    net::SimParams crowd_sp = sp;
+    crowd_sp.metrics = &crowd_metrics;
+    const crowd::CrowdResult cr =
+        crowd::simulate_crowd(sc, *channel, crowd_sp);
     EXPECT_EQ(bits(cr.summary.pdr), row.pdr);
     EXPECT_EQ(bits(cr.summary.worst_power_mw), row.worst_power_mw);
     EXPECT_EQ(bits(cr.summary.mean_power_mw), row.mean_power_mw);
@@ -116,8 +121,22 @@ TEST(CrowdGolden, M1CollapsesToSingleBodyGoldens) {
     EXPECT_EQ(cr.summary.crowd.foreign_heard, 0u);
     EXPECT_EQ(cr.summary.crowd.foreign_decoded, 0u);
 
+    obs::MetricsRegistry single_metrics;
+    net::SimParams single_sp = sp;
+    single_sp.metrics = &single_metrics;
     const net::SimResult one = net::simulate(
-        cfg, *net::default_channel_factory()(row.seed ^ 0xABCDEF), sp);
+        cfg, *net::default_channel_factory()(row.seed ^ 0xABCDEF),
+        single_sp);
+    // One driver, one flush: the one-body crowd run records exactly the
+    // single-body counter set and values, des.alloc_slabs included, and
+    // no coexistence ledger.
+    const obs::Snapshot crowd_snap = crowd_metrics.snapshot();
+    const obs::Snapshot single_snap = single_metrics.snapshot();
+    EXPECT_EQ(crowd_snap.counters, single_snap.counters);
+    EXPECT_EQ(crowd_snap.gauges, single_snap.gauges);
+    EXPECT_EQ(crowd_snap.counter("net.runs"), 1u);
+    EXPECT_GT(crowd_snap.counter("des.alloc_slabs"), 0u);
+    EXPECT_EQ(crowd_snap.counters.count("net.crowd_runs"), 0u);
     ASSERT_EQ(cr.per_body.size(), 1u);
     const net::SimResult& b0 = cr.per_body[0];
     EXPECT_EQ(bits(b0.pdr), bits(one.pdr));
@@ -189,7 +208,10 @@ TEST(CrowdGolden, MultiBodyFingerprints) {
     SCOPED_TRACE(row.bodies);
     const model::CrowdScenario sc = multi_body_scenario(row.bodies);
     const auto channel = crowd::make_crowd_channel_for(sc, sp.seed ^ 0xABCDEF);
-    const crowd::CrowdResult cr = crowd::simulate_crowd(sc, *channel, sp);
+    obs::MetricsRegistry metrics;
+    net::SimParams metered = sp;
+    metered.metrics = &metrics;
+    const crowd::CrowdResult cr = crowd::simulate_crowd(sc, *channel, metered);
     EXPECT_EQ(bits(cr.summary.pdr), row.pdr);
     EXPECT_EQ(bits(cr.summary.crowd.min_body_pdr), row.min_body_pdr);
     EXPECT_EQ(bits(cr.summary.worst_power_mw), row.worst_power_mw);
@@ -201,6 +223,34 @@ TEST(CrowdGolden, MultiBodyFingerprints) {
     EXPECT_EQ(cr.summary.crowd.foreign_decoded, row.foreign_decoded);
     EXPECT_EQ(cr.summary.crowd.bodies, row.bodies);
     ASSERT_EQ(cr.per_body.size(), static_cast<std::size_t>(row.bodies));
+
+    // The run's one flush mirrors the result, summed over all bodies:
+    // every MAC send is one radio transmission is one medium
+    // transmission, and the medium offers each transmission to every
+    // other radio in the crowd, above or below sensitivity.
+    const obs::Snapshot snap = metrics.snapshot();
+    const std::uint64_t tx = cr.summary.medium.transmissions;
+    const std::uint64_t radios =
+        static_cast<std::uint64_t>(row.bodies) *
+        static_cast<std::uint64_t>(sc.cfg.topology.count());
+    EXPECT_EQ(snap.counter("net.runs"), 1u);
+    EXPECT_EQ(snap.counter("net.mac.sent"), tx);
+    EXPECT_EQ(snap.counter("net.radio.tx_packets"), tx);
+    EXPECT_EQ(snap.counter("net.medium.transmissions"), tx);
+    EXPECT_EQ(snap.counter("net.medium.deliveries_offered") +
+                  snap.counter("net.medium.below_sensitivity"),
+              tx * (radios - 1));
+    EXPECT_EQ(snap.counter("des.events"), cr.summary.events);
+    // Cross-body ledger: every foreign signal above sensitivity that the
+    // medium offered was heard by its receiver; decoding is a subset.
+    EXPECT_EQ(snap.counter("net.crowd_runs"), 1u);
+    EXPECT_EQ(snap.counter("net.crowd_bodies"),
+              static_cast<std::uint64_t>(row.bodies));
+    EXPECT_EQ(snap.counter("net.crowd_foreign_heard"),
+              snap.counter("net.crowd_cross_offered"));
+    EXPECT_LE(snap.counter("net.crowd_foreign_decoded"),
+              snap.counter("net.crowd_foreign_heard"));
+    EXPECT_EQ(snap.counter("net.crowd_cross_offered"), row.cross_offered);
   }
 }
 
