@@ -92,7 +92,9 @@ int main() {
          ann.feasible ? fmt_double(ann.best_power_mw, 3) : "-",
          std::to_string(alg.simulations),
          matched ? std::to_string(cost.steps)
-                 : ">" + std::to_string(ann.history.size()) + " (never)",
+                 : std::string(">")
+                       .append(std::to_string(ann.history.size()))
+                       .append(" (never)"),
          matched ? std::to_string(cost.unique) : "-",
          matched ? fmt_double(static_cast<double>(cost.steps) /
                                   static_cast<double>(alg.simulations),

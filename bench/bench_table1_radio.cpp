@@ -26,7 +26,7 @@ int main() {
   TextTable tx;
   tx.set_header({"mode", "TxdBm", "TxmW"});
   for (int k = 0; k < chip.num_tx_levels(); ++k) {
-    tx.add_row({"p" + std::to_string(k + 1),
+    tx.add_row({std::string("p").append(std::to_string(k + 1)),
                 fmt_double(chip.tx_levels[static_cast<std::size_t>(k)].dbm, 0),
                 fmt_double(chip.tx_levels[static_cast<std::size_t>(k)].mw, 2)});
   }

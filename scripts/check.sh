@@ -31,12 +31,16 @@ if [[ "${1:-}" == "--extended" ]]; then
   shift
 fi
 
+# run_suite SANITIZER WERROR [ctest args...]; WERROR (ON/OFF) sets
+# HI_WARNINGS_AS_ERRORS for that tree.
 run_suite() {
   local sanitizer="$1"
-  shift
+  local werror="$2"
+  shift 2
   local dir="build-${sanitizer}"
   echo "==> ${sanitizer}: configure + build (${dir})"
   cmake -B "${dir}" -S . -DHI_SANITIZE="${sanitizer}" \
+        -DHI_WARNINGS_AS_ERRORS="${werror}" \
         -DHI_BUILD_BENCH=OFF -DHI_BUILD_EXAMPLES=OFF
   cmake --build "${dir}" -j "$(nproc)"
   echo "==> ${sanitizer}: ctest -L tier1"
@@ -48,9 +52,11 @@ run_suite() {
   fi
 }
 
-run_suite address "$@"
-run_suite thread "$@"
-run_suite undefined "$@"
+# The ASan tree also builds warning-free: -Werror on the library, tool
+# and test sources.
+run_suite address ON "$@"
+run_suite thread OFF "$@"
+run_suite undefined OFF "$@"
 
 # Store-recovery fuzzing beyond the tier-1 smoke run: seeded torn-write /
 # bit-flip corruption against hi::store's recovery contract, under ASan
@@ -150,6 +156,13 @@ if grep -q '"from_store": false' "${crowd_out}"; then
   echo "crowd smoke: warm rerun re-simulated a completed point" >&2
   exit 1
 fi
+# Thread invariance at the CLI: the sweep's (point, replication) tasks
+# on three workers must print the same bytes as the same tasks run
+# inline — a fold-order or seeding bug in the threaded path shows here.
+crowd_inv=(--list 1,2,3 --tsim 2 --runs 2 --seed 5)
+"${crowd_cli}" "${crowd_inv[@]}" --threads 3 --out "${fuzz_dir}/crowd-t3.json"
+"${crowd_cli}" "${crowd_inv[@]}" --threads 0 --out "${fuzz_dir}/crowd-t0.json"
+cmp "${fuzz_dir}/crowd-t3.json" "${fuzz_dir}/crowd-t0.json"
 
 # Perf-regression smoke: scaled-down benches gated at 40% against the
 # committed baselines (full-precision gate: scripts/bench.sh, 10%).

@@ -1,5 +1,6 @@
 #include "check/lp_oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <utility>
@@ -35,49 +36,41 @@ struct ExactRow {
 /// Gauss-Jordan elimination.  Returns false when singular.
 bool solve_square(const std::vector<const Hyperplane*>& pick,
                   std::vector<Rational>& x) {
-  const int n = static_cast<int>(pick.size());
-  // Augmented matrix [A | b].
-  std::vector<std::vector<Rational>> m(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    m[static_cast<std::size_t>(r)] = pick[static_cast<std::size_t>(r)]->a;
-    m[static_cast<std::size_t>(r)].push_back(
-        pick[static_cast<std::size_t>(r)]->b);
+  const std::size_t n = pick.size();
+  const std::size_t w = n + 1;
+  // Augmented matrix [A | b], row-major.
+  std::vector<Rational> m(n * w);
+  const auto at = [&m, w](std::size_t r, std::size_t c) -> Rational& {
+    return m[r * w + c];
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    std::copy(pick[r]->a.begin(), pick[r]->a.end(), m.begin() + r * w);
+    at(r, n) = pick[r]->b;
   }
-  for (int col = 0; col < n; ++col) {
-    int piv = -1;
-    for (int r = col; r < n; ++r) {
-      if (!m[static_cast<std::size_t>(r)][static_cast<std::size_t>(col)]
-               .is_zero()) {
-        piv = r;
-        break;
-      }
-    }
-    if (piv < 0) {
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t piv = col;
+    while (piv < n && at(piv, col).is_zero()) ++piv;
+    if (piv == n) {
       return false;  // singular: the chosen hyperplanes are dependent
     }
-    std::swap(m[static_cast<std::size_t>(col)],
-              m[static_cast<std::size_t>(piv)]);
-    const Rational inv =
-        Rational{1} /
-        m[static_cast<std::size_t>(col)][static_cast<std::size_t>(col)];
-    for (int j = col; j <= n; ++j) {
-      m[static_cast<std::size_t>(col)][static_cast<std::size_t>(j)] *= inv;
+    std::swap_ranges(m.begin() + col * w, m.begin() + (col + 1) * w,
+                     m.begin() + piv * w);
+    const Rational inv = Rational{1} / at(col, col);
+    for (std::size_t j = col; j <= n; ++j) {
+      at(col, j) *= inv;
     }
-    for (int r = 0; r < n; ++r) {
+    for (std::size_t r = 0; r < n; ++r) {
       if (r == col) continue;
-      const Rational f =
-          m[static_cast<std::size_t>(r)][static_cast<std::size_t>(col)];
+      const Rational f = at(r, col);
       if (f.is_zero()) continue;
-      for (int j = col; j <= n; ++j) {
-        m[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] -=
-            f * m[static_cast<std::size_t>(col)][static_cast<std::size_t>(j)];
+      for (std::size_t j = col; j <= n; ++j) {
+        at(r, j) -= f * at(col, j);
       }
     }
   }
-  x.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    x[static_cast<std::size_t>(r)] =
-        m[static_cast<std::size_t>(r)][static_cast<std::size_t>(n)];
+  x.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    x[r] = at(r, n);
   }
   return true;
 }

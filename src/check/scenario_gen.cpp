@@ -36,7 +36,8 @@ void shrink_once(ScenarioSpec& spec, int level) {
       break;
     case 3:
       if (!sc.coverage.empty() && sc.coverage[0].locations.size() > 1) {
-        sc.coverage[0].locations.resize(1);
+        std::vector<int>& locs = sc.coverage[0].locations;
+        locs.erase(locs.begin() + 1, locs.end());  // keep the first
       }
       spec.settings.sim.duration_s =
           std::max(0.75, 0.5 * spec.settings.sim.duration_s);

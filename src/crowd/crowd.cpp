@@ -191,6 +191,7 @@ dse::Evaluation to_evaluation(const CrowdResult& cr) {
 SweepResult sweep(const model::CrowdScenario& base, const net::SimParams& sim,
                   const SweepOptions& opt) {
   HI_REQUIRE(!opt.bodies.empty(), "crowd sweep: empty body-count list");
+  HI_REQUIRE(opt.runs >= 1, "crowd sweep: need at least one run");
   const std::size_t count = opt.bodies.size();
   std::vector<model::CrowdScenario> points;
   std::vector<store::Digest> fps;
@@ -205,39 +206,58 @@ SweepResult sweep(const model::CrowdScenario& base, const net::SimParams& sim,
 
   SweepResult out;
   out.points.resize(count);
-  // Probe the store first so only genuine misses pay for a worker slot.
-  std::vector<bool> need(count, true);
+  // Probe the store first so only genuine misses are simulated.
+  std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < count; ++i) {
     out.points[i].bodies = opt.bodies[i];
-    if (opt.store == nullptr) continue;
-    if (const dse::Evaluation* hit =
-            opt.store->find(fps[i], points[i].cfg)) {
+    const dse::Evaluation* hit =
+        opt.store != nullptr ? opt.store->find(fps[i], points[i].cfg)
+                             : nullptr;
+    if (hit != nullptr) {
       out.points[i].from_store = true;
       out.points[i].eval = *hit;
-      need[i] = false;
+    } else {
+      misses.push_back(i);
     }
   }
 
+  // One task per (point, replication) of every miss, largest body count
+  // first (stable on ties) so the longest runs start first and no single
+  // point's serial replications set the wall clock.  A task's randomness
+  // is replica_seeds(sim, r) alone, and each point folds its runs in run
+  // order, so the schedule cannot change a bit.
   net::SimParams sp = sim;
   if (opt.metrics != nullptr) sp.metrics = opt.metrics;
-  const auto compute = [&](std::size_t i) {
-    return to_evaluation(simulate_crowd_averaged(points[i], sp, opt.runs));
-  };
+  std::stable_sort(misses.begin(), misses.end(),
+                   [&opt](std::size_t a, std::size_t b) {
+                     return opt.bodies[a] > opt.bodies[b];
+                   });
+  std::vector<std::vector<net::SimResult>> replicas(count);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i : misses) {
+    replicas[i].resize(static_cast<std::size_t>(opt.runs));
+    for (std::size_t r = 0; r < replicas[i].size(); ++r) {
+      tasks.emplace_back([&, i, r] {
+        const net::detail::ReplicaSeeds seeds =
+            net::detail::replica_seeds(sp, static_cast<int>(r));
+        replicas[i][r] =
+            simulate_crowd(points[i],
+                           *make_crowd_channel_for(points[i],
+                                                   seeds.channel_seed),
+                           seeds.params)
+                .summary;
+      });
+    }
+  }
   if (opt.threads > 0) {
-    // Every point's randomness derives from the sweep roots alone, so
-    // the fan-out is thread-count invariant (and tested to be).
     exec::ThreadPool pool(opt.threads);
-    std::vector<std::future<dse::Evaluation>> futs(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (need[i]) futs[i] = pool.submit([&compute, i] { return compute(i); });
+    std::vector<std::future<void>> futs;
+    for (const std::function<void()>& task : tasks) {
+      futs.push_back(pool.submit(task));
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (need[i]) out.points[i].eval = futs[i].get();
-    }
+    for (std::future<void>& f : futs) f.get();
   } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (need[i]) out.points[i].eval = compute(i);
-    }
+    for (const std::function<void()>& task : tasks) task();
   }
 
   // Commit in sweep order: write-through, honest accounting, progress.
@@ -246,6 +266,9 @@ SweepResult sweep(const model::CrowdScenario& base, const net::SimParams& sim,
     if (p.from_store) {
       ++out.store_hits;
     } else {
+      p.eval = to_evaluation(CrowdResult{
+          net::detail::fold(std::move(replicas[i]), points[i].cfg.battery_j),
+          {}});
       ++out.simulations;
       if (opt.store != nullptr) {
         opt.store->put(fps[i], points[i].cfg, p.eval);

@@ -25,9 +25,12 @@
 //     list permutes CrowdResult::per_body but leaves every per-body
 //     result bit-identical.
 //
-//   * thread invariance — sweep() fans points out over a thread pool
-//     but every point's randomness is derived from the sweep roots
-//     alone; results are bit-identical at any thread count.
+//   * thread invariance — sweep() runs one task per (point,
+//     replication), largest body count first, inline or on a thread
+//     pool; a task's randomness is net::detail::replica_seeds(sim, r)
+//     alone and each point folds its runs in run order
+//     (net::detail::fold), so results are bit-identical at any thread
+//     count and equal simulate_crowd_averaged.
 //
 // Durability: sweep() keys each point by
 // store::crowd_point_fingerprint and serves repeats from the EvalStore
@@ -80,8 +83,8 @@ struct CrowdResult {
                                          const net::SimParams& params);
 
 /// `runs` independent replications (fresh crowd channel + fresh seeds)
-/// through net::simulate_averaged's own loop and fold,
-/// net::detail::replicate, with averaged metrics; the returned summary
+/// through net::simulate_averaged's own seeds and fold
+/// (net::detail::replicate), with averaged metrics; the returned summary
 /// carries the first run's per-body rows and the replication-summed
 /// coexistence counters.
 [[nodiscard]] CrowdResult simulate_crowd_averaged(
@@ -110,7 +113,9 @@ struct SweepResult {
 struct SweepOptions {
   std::vector<int> bodies;  ///< M values, evaluated in the given order
   int runs = 3;             ///< replications per point
-  /// Worker threads fanning points out (0 = serial, identical results).
+  /// Worker threads running the (point, replication) tasks, largest
+  /// body count first; 0 runs the same task list inline.  Results are
+  /// bit-identical at every value.
   int threads = 0;
   /// Durable cache; null = always simulate.  Points are keyed by
   /// crowd_point_fingerprint, fresh results are written through.

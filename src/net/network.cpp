@@ -294,27 +294,28 @@ BodiesResult run_bodies(const model::NetworkConfig& cfg,
   return out;
 }
 
-SimResult replicate(const SimParams& params, int runs, double battery_j,
-                    const Replica& run, RunningStats* pdr_spread,
-                    RunningStats* power_spread) {
-  HI_REQUIRE(runs >= 1, "simulate_averaged: need at least one run");
-  Rng seeder(params.seed);
-  Rng channel_seeder(params.channel_seed != 0 ? params.channel_seed
-                                              : params.seed);
-  SimResult first;
+ReplicaSeeds replica_seeds(const SimParams& params, int r) {
+  const auto label = static_cast<std::uint64_t>(r);
+  ReplicaSeeds out{params, 0};
+  out.params.seed = Rng(params.seed).fork(label).next_u64();
+  out.channel_seed =
+      Rng(params.channel_seed != 0 ? params.channel_seed : params.seed)
+          .fork(label)
+          .next_u64() ^
+      0xC0FFEE;
+  return out;
+}
+
+SimResult fold(std::vector<SimResult> results, double battery_j,
+               RunningStats* pdr_spread, RunningStats* power_spread) {
+  HI_REQUIRE(!results.empty(), "simulate_averaged: need at least one run");
   RunningStats pdr_acc, worst_acc, mean_acc, min_pdr_acc;
   RunningStats lat_mean, lat_p50, lat_p95;
   double lat_max = 0.0;
   std::uint64_t lat_samples = 0;
   double events_total = 0.0;
   CrowdSummary crowd;
-  for (int r = 0; r < runs; ++r) {
-    SimParams run_params = params;
-    run_params.seed = seeder.fork(static_cast<std::uint64_t>(r)).next_u64();
-    SimResult one = run(
-        run_params,
-        channel_seeder.fork(static_cast<std::uint64_t>(r)).next_u64() ^
-            0xC0FFEE);
+  for (const SimResult& one : results) {
     pdr_acc.add(one.pdr);
     worst_acc.add(one.worst_power_mw);
     mean_acc.add(one.mean_power_mw);
@@ -335,9 +336,6 @@ SimResult replicate(const SimParams& params, int runs, double battery_j,
       crowd.foreign_heard += one.crowd.foreign_heard;
       crowd.foreign_decoded += one.crowd.foreign_decoded;
     }
-    if (r == 0) {
-      first = std::move(one);
-    }
   }
   if (pdr_spread != nullptr) {
     *pdr_spread = pdr_acc;
@@ -345,7 +343,7 @@ SimResult replicate(const SimParams& params, int runs, double battery_j,
   if (power_spread != nullptr) {
     *power_spread = worst_acc;
   }
-  SimResult avg = std::move(first);
+  SimResult avg = std::move(results.front());
   avg.pdr = pdr_acc.mean();
   avg.worst_power_mw = worst_acc.mean();
   avg.mean_power_mw = mean_acc.mean();
@@ -367,6 +365,17 @@ SimResult replicate(const SimParams& params, int runs, double battery_j,
     avg.crowd = crowd;
   }
   return avg;
+}
+
+SimResult replicate(const SimParams& params, int runs, double battery_j,
+                    const Replica& run, RunningStats* pdr_spread,
+                    RunningStats* power_spread) {
+  std::vector<SimResult> results;
+  for (int r = 0; r < runs; ++r) {
+    const ReplicaSeeds seeds = replica_seeds(params, r);
+    results.push_back(run(seeds.params, seeds.channel_seed));
+  }
+  return fold(std::move(results), battery_j, pdr_spread, power_spread);
 }
 
 }  // namespace detail

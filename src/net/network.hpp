@@ -10,8 +10,9 @@
 // one configuration on one kernel and one shared medium, and owns node
 // construction, the run loop, the per-body metrics and the one counter
 // flush.  simulate() is its M = 1 case; hi::crowd is the M > 1 caller.
-// Likewise detail::replicate is the one replication loop and fold
-// behind simulate_averaged and crowd::simulate_crowd_averaged.
+// Likewise every replicated answer (simulate_averaged,
+// crowd::simulate_crowd_averaged, crowd::sweep) seeds its runs with
+// detail::replica_seeds and folds them with detail::fold.
 #pragma once
 
 #include <functional>
@@ -171,19 +172,37 @@ struct BodiesResult {
                                       const SimParams& params,
                                       const std::vector<Rng>& lanes);
 
+/// Seeds of replication r: the node-randomness root and the channel
+/// seed one replication runs under.
+struct ReplicaSeeds {
+  SimParams params;                ///< the caller's, seed = fork r of seed
+  std::uint64_t channel_seed = 0;  ///< root of the run's fresh channel
+};
+
+/// The one place replication seeds are derived: seed fork r of
+/// params.seed, and channel seed fork r of params.channel_seed (or
+/// params.seed when 0) whitened by a fixed xor.  Depends on (params, r)
+/// alone, so replications may run in any order on any thread.
+[[nodiscard]] ReplicaSeeds replica_seeds(const SimParams& params, int r);
+
+/// The one fold over replications, `results` in run order (at least
+/// one): the first run's SimResult with PDR and powers averaged
+/// (lifetime from the averaged worst power and `battery_j`), events
+/// summed, latency averaged when the runs collected it, and the crowd
+/// ledger (min body PDR averaged, counters summed) when present.
+/// `pdr_spread` / `power_spread` as in simulate_averaged.
+[[nodiscard]] SimResult fold(std::vector<SimResult> results, double battery_j,
+                             RunningStats* pdr_spread = nullptr,
+                             RunningStats* power_spread = nullptr);
+
 /// One replication: simulate under `run_params` (seed already forked)
 /// over a fresh channel built from `channel_seed`.
 using Replica = std::function<SimResult(const SimParams& run_params,
                                         std::uint64_t channel_seed)>;
 
-/// The one replication loop: `runs` calls of `run`, replication r with
-/// seed fork r of params.seed and channel seed fork r of
-/// params.channel_seed (or params.seed when 0), whitened by a fixed xor.
-/// Folds the results into the first run's SimResult: PDR and powers
-/// averaged (lifetime from the averaged worst power and `battery_j`),
-/// events summed, latency averaged when the runs collected it, and the
-/// crowd ledger (min body PDR averaged, counters summed) when present.
-/// `pdr_spread` / `power_spread` as in simulate_averaged.
+/// `runs` serial calls of `run` under replica_seeds(params, r), then
+/// fold: the loop behind simulate_averaged and
+/// crowd::simulate_crowd_averaged.
 [[nodiscard]] SimResult replicate(const SimParams& params, int runs,
                                   double battery_j, const Replica& run,
                                   RunningStats* pdr_spread = nullptr,

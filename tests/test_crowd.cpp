@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "model/design_space.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "store/crowd_codec.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
@@ -124,32 +127,173 @@ TEST(Crowd, BodyRelabelingLeavesPerBodyResultsBitIdentical) {
   }
 }
 
+/// Whole-Evaluation bit equality: headline metrics, the detail's
+/// metrics, events, medium, latency block, crowd ledger and every
+/// per-body node row.
+void expect_same_eval(const dse::Evaluation& a, const dse::Evaluation& b) {
+  EXPECT_EQ(bits(a.pdr), bits(b.pdr));
+  EXPECT_EQ(bits(a.power_mw), bits(b.power_mw));
+  EXPECT_EQ(bits(a.nlt_s), bits(b.nlt_s));
+  const net::SimResult& x = a.detail;
+  const net::SimResult& y = b.detail;
+  expect_same_result(x, y);
+  EXPECT_EQ(bits(x.duration_s), bits(y.duration_s));
+  EXPECT_EQ(x.events, y.events);
+  EXPECT_EQ(x.medium.transmissions, y.medium.transmissions);
+  EXPECT_EQ(x.medium.deliveries_offered, y.medium.deliveries_offered);
+  EXPECT_EQ(x.medium.below_sensitivity, y.medium.below_sensitivity);
+  EXPECT_EQ(x.medium.cross_offered, y.medium.cross_offered);
+  EXPECT_EQ(x.medium.cross_below_sensitivity, y.medium.cross_below_sensitivity);
+  EXPECT_EQ(x.latency.collected, y.latency.collected);
+  EXPECT_EQ(x.latency.samples, y.latency.samples);
+  EXPECT_EQ(bits(x.latency.mean_s), bits(y.latency.mean_s));
+  EXPECT_EQ(bits(x.latency.p50_s), bits(y.latency.p50_s));
+  EXPECT_EQ(bits(x.latency.p95_s), bits(y.latency.p95_s));
+  EXPECT_EQ(bits(x.latency.max_s), bits(y.latency.max_s));
+  EXPECT_EQ(x.crowd.present, y.crowd.present);
+  EXPECT_EQ(x.crowd.bodies, y.crowd.bodies);
+  EXPECT_EQ(bits(x.crowd.min_body_pdr), bits(y.crowd.min_body_pdr));
+  EXPECT_EQ(x.crowd.cross_offered, y.crowd.cross_offered);
+  EXPECT_EQ(x.crowd.cross_below_sensitivity, y.crowd.cross_below_sensitivity);
+  EXPECT_EQ(x.crowd.foreign_heard, y.crowd.foreign_heard);
+  EXPECT_EQ(x.crowd.foreign_decoded, y.crowd.foreign_decoded);
+  ASSERT_EQ(x.nodes.size(), y.nodes.size());
+  for (std::size_t i = 0; i < x.nodes.size(); ++i) {
+    const net::NodeResult& u = x.nodes[i];
+    const net::NodeResult& v = y.nodes[i];
+    EXPECT_EQ(u.location, v.location);
+    EXPECT_EQ(u.radio.tx_packets, v.radio.tx_packets);
+    EXPECT_EQ(u.radio.rx_ok, v.radio.rx_ok);
+    EXPECT_EQ(u.radio.rx_corrupted, v.radio.rx_corrupted);
+    EXPECT_EQ(u.radio.rx_missed, v.radio.rx_missed);
+    EXPECT_EQ(u.radio.rx_aborted, v.radio.rx_aborted);
+    EXPECT_EQ(u.mac.enqueued, v.mac.enqueued);
+    EXPECT_EQ(u.mac.sent, v.mac.sent);
+    EXPECT_EQ(u.mac.dropped_buffer, v.mac.dropped_buffer);
+    EXPECT_EQ(u.mac.backoffs, v.mac.backoffs);
+    EXPECT_EQ(u.routing.originated, v.routing.originated);
+    EXPECT_EQ(u.routing.delivered, v.routing.delivered);
+    EXPECT_EQ(u.routing.duplicates, v.routing.duplicates);
+    EXPECT_EQ(u.routing.relayed, v.routing.relayed);
+  }
+}
+
 TEST(Crowd, SweepIsThreadCountInvariant) {
+  // Three replications and a non-monotone body list, so a fold that
+  // took runs in completion order or a point mapped to the wrong slot
+  // of the largest-first schedule shows up as a bit difference.
   const model::CrowdScenario base = dense_crowd(3);
-  const net::SimParams sp = short_params();
-  crowd::SweepResult ref;
-  for (int threads : {0, 2, 4}) {
+  net::SimParams sp = short_params();
+  sp.collect_latency = true;
+  const std::vector<int> list = {2, 1, 3};
+  constexpr int kRuns = 3;
+
+  std::vector<dse::Evaluation> want;
+  for (int m : list) {
+    want.push_back(crowd::to_evaluation(
+        crowd::simulate_crowd_averaged(dense_crowd(m), sp, kRuns)));
+  }
+
+  std::map<std::string, std::uint64_t, std::less<>> ref_counters;
+  for (int threads : {0, 1, 2, 3, 8}) {
     SCOPED_TRACE(threads);
+    obs::MetricsRegistry metrics;
+    std::vector<int> progressed;
     crowd::SweepOptions opt;
-    opt.bodies = {1, 2, 3};
-    opt.runs = 1;
+    opt.bodies = list;
+    opt.runs = kRuns;
     opt.threads = threads;
+    opt.metrics = &metrics;
+    opt.progress = [&progressed](const crowd::SweepPoint& p) {
+      progressed.push_back(p.bodies);
+    };
     const crowd::SweepResult res = crowd::sweep(base, sp, opt);
-    ASSERT_EQ(res.points.size(), 3u);
-    if (threads == 0) {
-      ref = res;
-      continue;
-    }
+    ASSERT_EQ(res.points.size(), list.size());
+    EXPECT_EQ(progressed, list);
+    EXPECT_EQ(res.simulations, list.size());
     for (std::size_t i = 0; i < res.points.size(); ++i) {
-      EXPECT_EQ(res.points[i].bodies, ref.points[i].bodies);
-      EXPECT_EQ(bits(res.points[i].eval.pdr), bits(ref.points[i].eval.pdr));
-      EXPECT_EQ(bits(res.points[i].eval.power_mw),
-                bits(ref.points[i].eval.power_mw));
-      EXPECT_EQ(bits(res.points[i].eval.nlt_s), bits(ref.points[i].eval.nlt_s));
-      EXPECT_EQ(res.points[i].eval.detail.events,
-                ref.points[i].eval.detail.events);
+      SCOPED_TRACE(list[i]);
+      EXPECT_EQ(res.points[i].bodies, list[i]);
+      EXPECT_FALSE(res.points[i].from_store);
+      expect_same_eval(res.points[i].eval, want[i]);
+    }
+
+    // Every counter is an exact sum over runs: the schedule must not
+    // show in des.events, net.crowd_runs or crowd.*.
+    const obs::Snapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counter("net.runs"), list.size() * kRuns);
+    EXPECT_EQ(snap.counter("net.crowd_runs"), 2u * kRuns);
+    EXPECT_EQ(snap.counter("crowd.points"), list.size());
+    EXPECT_EQ(snap.counter("crowd.simulations"), list.size());
+    EXPECT_GT(snap.counter("des.events"), 0u);
+    if (threads == 0) {
+      ref_counters = snap.counters;
+    } else {
+      EXPECT_EQ(snap.counters, ref_counters);
     }
   }
+}
+
+TEST(Crowd, PartlyWarmSweepFansOutOnlyMissesAndCommitsInOrder) {
+  const std::string path = "test_crowd_partly_warm.store";
+  std::remove(path.c_str());
+  const model::CrowdScenario base = dense_crowd(3);
+  const net::SimParams sp = short_params();
+  constexpr int kRuns = 3;
+  {
+    store::EvalStore store(path);
+    crowd::SweepOptions opt;
+    opt.bodies = {2};
+    opt.runs = kRuns;
+    opt.store = &store;
+    ASSERT_EQ(crowd::sweep(base, sp, opt).simulations, 1u);
+  }
+
+  const std::vector<int> list = {2, 1, 3};
+  store::EvalStore store(path);
+  obs::MetricsRegistry metrics;
+  std::vector<int> progressed;
+  crowd::SweepOptions opt;
+  opt.bodies = list;
+  opt.runs = kRuns;
+  opt.threads = 3;
+  opt.store = &store;
+  opt.metrics = &metrics;
+  opt.progress = [&](const crowd::SweepPoint& p) {
+    // Write-through precedes progress: the point is already stored.
+    EXPECT_NE(store.find(store::crowd_point_fingerprint(dense_crowd(p.bodies),
+                                                        sp, kRuns),
+                         base.cfg),
+              nullptr);
+    progressed.push_back(p.bodies);
+  };
+  const crowd::SweepResult res = crowd::sweep(base, sp, opt);
+  EXPECT_EQ(progressed, list);
+  EXPECT_EQ(res.store_hits, 1u);
+  EXPECT_EQ(res.simulations, 2u);
+  EXPECT_TRUE(res.points[0].from_store);
+  EXPECT_FALSE(res.points[1].from_store);
+  EXPECT_FALSE(res.points[2].from_store);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    SCOPED_TRACE(list[i]);
+    dse::Evaluation want = crowd::to_evaluation(
+        crowd::simulate_crowd_averaged(dense_crowd(list[i]), sp, kRuns));
+    if (res.points[i].from_store) {
+      // The store keeps the cross-body counts in the crowd ledger only.
+      want.detail.medium.cross_offered = 0;
+      want.detail.medium.cross_below_sensitivity = 0;
+    }
+    expect_same_eval(res.points[i].eval, want);
+  }
+  // Only the two misses ran: M = 1 and M = 3, kRuns runs each, and only
+  // M = 3 is a multi-body run.
+  const obs::Snapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("net.runs"), 2u * kRuns);
+  EXPECT_EQ(snap.counter("net.crowd_runs"), 1u * kRuns);
+  EXPECT_EQ(snap.counter("crowd.store_hits"), 1u);
+  EXPECT_EQ(snap.counter("crowd.simulations"), 2u);
+  EXPECT_EQ(store.eval_count(), list.size());
+  std::remove(path.c_str());
 }
 
 TEST(Crowd, SweepResumesFromStoreWithoutResimulating) {

@@ -3,6 +3,11 @@
 // lossless-limit agreement with the analytic model of Eq. (5)/(9).
 #include "net/network.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
@@ -222,6 +227,67 @@ TEST(Network, AveragedRunsReduceVariance) {
   // NLT consistent with the averaged power.
   EXPECT_NEAR(avg.nlt_s,
               star_config().battery_j / mw_to_w(avg.worst_power_mw), 1e-6);
+}
+
+TEST(Network, FoldOfIndependentReplicasIsSimulateAveraged) {
+  // The two halves of the replication loop, used the way a parallel
+  // caller does: each run seeded from replica_seeds(params, r) alone
+  // (run here in reverse), then folded in run order.
+  const model::NetworkConfig cfg = star_config(model::MacProtocol::kCsma);
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  const auto same_spread = [&](const RunningStats& a, const RunningStats& b) {
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+    EXPECT_EQ(bits(a.variance()), bits(b.variance()));
+    EXPECT_EQ(bits(a.min()), bits(b.min()));
+    EXPECT_EQ(bits(a.max()), bits(b.max()));
+  };
+  constexpr int kRuns = 3;
+  for (std::uint64_t channel_seed : {0ULL, 77ULL}) {
+    SCOPED_TRACE(channel_seed);
+    SimParams sp;
+    sp.duration_s = 5.0;
+    sp.seed = 2017;
+    sp.channel_seed = channel_seed;
+    sp.collect_latency = true;
+    RunningStats pdr_ref, power_ref;
+    const SimResult ref = simulate_averaged(
+        cfg, sp, kRuns, default_channel_factory(), &pdr_ref, &power_ref);
+
+    std::vector<SimResult> runs(kRuns);
+    for (int r = kRuns - 1; r >= 0; --r) {
+      const detail::ReplicaSeeds seeds = detail::replica_seeds(sp, r);
+      runs[static_cast<std::size_t>(r)] = simulate(
+          cfg, *channel::make_default_body_channel(seeds.channel_seed),
+          seeds.params);
+    }
+    RunningStats pdr_spread, power_spread;
+    const SimResult got = detail::fold(std::move(runs), cfg.battery_j,
+                                       &pdr_spread, &power_spread);
+
+    EXPECT_EQ(bits(got.pdr), bits(ref.pdr));
+    EXPECT_EQ(bits(got.worst_power_mw), bits(ref.worst_power_mw));
+    EXPECT_EQ(bits(got.mean_power_mw), bits(ref.mean_power_mw));
+    EXPECT_EQ(bits(got.nlt_s), bits(ref.nlt_s));
+    EXPECT_EQ(got.events, ref.events);
+    ASSERT_TRUE(ref.latency.collected);
+    EXPECT_TRUE(got.latency.collected);
+    EXPECT_EQ(got.latency.samples, ref.latency.samples);
+    EXPECT_EQ(bits(got.latency.mean_s), bits(ref.latency.mean_s));
+    EXPECT_EQ(bits(got.latency.p50_s), bits(ref.latency.p50_s));
+    EXPECT_EQ(bits(got.latency.p95_s), bits(ref.latency.p95_s));
+    EXPECT_EQ(bits(got.latency.max_s), bits(ref.latency.max_s));
+    EXPECT_FALSE(got.crowd.present);
+    ASSERT_EQ(got.nodes.size(), ref.nodes.size());
+    for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+      EXPECT_EQ(bits(got.nodes[i].pdr), bits(ref.nodes[i].pdr));
+      EXPECT_EQ(bits(got.nodes[i].power_mw), bits(ref.nodes[i].power_mw));
+      EXPECT_EQ(got.nodes[i].app_sent, ref.nodes[i].app_sent);
+    }
+    same_spread(pdr_spread, pdr_ref);
+    same_spread(power_spread, power_ref);
+  }
+  EXPECT_THROW((void)detail::fold({}, cfg.battery_j), ModelError);
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(Metrics, InstrumentReferencesAreStable) {
   Counter& a = reg.counter("a");
   // Creating many more instruments must not move existing ones.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i)).add(1);
+    reg.counter(std::string("c").append(std::to_string(i))).add(1);
   }
   EXPECT_EQ(&a, &reg.counter("a"));
   a.add(7);
