@@ -18,6 +18,7 @@
 
 #include "bench_util.hpp"
 #include "common/assert.hpp"
+#include "common/json_string.hpp"
 #include "dse/explorer.hpp"
 #include "store/store.hpp"
 
@@ -46,14 +47,12 @@ Leg run_leg(const hi::dse::EvaluatorSettings& base,
              warm.preloaded, r.feasible,     r.best_power_mw};
 }
 
-void print_leg(const char* name, const Leg& leg, bool last) {
-  std::cout << "  \"" << name << "\": {\"wall_s\": " << leg.wall_s
-            << ", \"simulations\": " << leg.simulations
-            << ", \"store_hits\": " << leg.store_hits
-            << ", \"preloaded\": " << leg.preloaded
-            << ", \"feasible\": " << (leg.feasible ? "true" : "false")
-            << ", \"best_power_mw\": " << leg.best_power_mw << "}"
-            << (last ? "" : ",") << "\n";
+void put_leg(hi::JsonWriter& w, const char* name, const Leg& leg) {
+  w.key(name).object(hi::JsonWriter::kInline).field("wall_s", leg.wall_s);
+  w.field("simulations", leg.simulations);
+  w.field("store_hits", leg.store_hits).field("preloaded", leg.preloaded);
+  w.field("feasible", leg.feasible);
+  w.field("best_power_mw", leg.best_power_mw).end();
 }
 
 }  // namespace
@@ -99,17 +98,15 @@ int main() {
           ? static_cast<double>(warm.store_hits) /
                 static_cast<double>(cold.simulations)
           : 0.0;
-  std::cout << "{\n"
-            << "  \"tsim_s\": " << base.sim.duration_s << ",\n"
-            << "  \"runs\": " << base.runs << ",\n"
-            << "  \"seed\": " << base.sim.seed << ",\n"
-            << "  \"pdr_min\": " << pdr_min << ",\n";
-  print_leg("cold", cold, /*last=*/false);
-  print_leg("warm", warm, /*last=*/false);
-  std::cout << "  \"hit_rate\": " << hit_rate << ",\n"
-            << "  \"speedup\": "
-            << (warm.wall_s > 0.0 ? cold.wall_s / warm.wall_s : 0.0) << "\n"
-            << "}\n";
+  JsonWriter w;
+  w.object(JsonWriter::kBlock).field("tsim_s", base.sim.duration_s);
+  w.field("runs", base.runs).field("seed", base.sim.seed);
+  w.field("pdr_min", pdr_min);
+  put_leg(w, "cold", cold);
+  put_leg(w, "warm", warm);
+  w.field("hit_rate", hit_rate);
+  w.field("speedup", warm.wall_s > 0.0 ? cold.wall_s / warm.wall_s : 0.0);
+  std::cout << w.end().take();
   std::remove(store_path.c_str());
   return 0;
 }

@@ -119,24 +119,19 @@ class BenchReport {
   }
 
   void write(std::ostream& os) const {
-    os.precision(17);
-    os << "{\n"
-       << "  \"schema\": \"hi-bench/v1\",\n"
-       << "  \"bench\": " << json_string(bench_) << ",\n"
-       << "  \"quick\": " << (quick_mode() ? "true" : "false") << ",\n"
-       << "  \"settings\": {\"tsim_s\": " << tsim_s_ << ", \"runs\": "
-       << runs_ << ", \"seed\": " << seed_ << "},\n"
-       << "  \"metrics\": [\n";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      const BenchMetric& m = metrics_[i];
-      os << "    {\"name\": " << json_string(m.name)
-         << ", \"unit\": " << json_string(m.unit) << ", \"value\": "
-         << m.value << ", \"better\": " << json_string(m.better)
-         << ", \"gate\": " << (m.gate ? "true" : "false")
-         << ", \"items\": " << m.items << ", \"wall_s\": " << m.wall_s
-         << "}" << (i + 1 < metrics_.size() ? "," : "") << "\n";
+    JsonWriter w;
+    w.object(JsonWriter::kBlock).field("schema", "hi-bench/v1");
+    w.field("bench", bench_).field("quick", quick_mode());
+    w.key("settings").object(JsonWriter::kInline).field("tsim_s", tsim_s_);
+    w.field("runs", runs_).field("seed", seed_).end();
+    w.key("metrics").array(JsonWriter::kBlock);
+    for (const BenchMetric& m : metrics_) {
+      w.object(JsonWriter::kInline).field("name", m.name);
+      w.field("unit", m.unit).field("value", m.value);
+      w.field("better", m.better).field("gate", m.gate);
+      w.field("items", m.items).field("wall_s", m.wall_s).end();
     }
-    os << "  ]\n}\n";
+    os << w.end().end().take();
   }
 
  private:

@@ -52,6 +52,15 @@ run_suite() {
   fi
 }
 
+# strict_json FILE...: each file must load as strict JSON.  Python's
+# json module accepts NaN / Infinity unless parse_constant refuses them.
+strict_json() {
+  local f
+  for f in "$@"; do
+    python3 -c 'import json,sys; json.load(open(sys.argv[1]), parse_constant=lambda c: sys.exit("non-JSON constant " + c))' "${f}"
+  done
+}
+
 # The ASan tree also builds warning-free: -Werror on the library, tool
 # and test sources.
 run_suite address ON "$@"
@@ -163,6 +172,17 @@ crowd_inv=(--list 1,2,3 --tsim 2 --runs 2 --seed 5)
 "${crowd_cli}" "${crowd_inv[@]}" --threads 3 --out "${fuzz_dir}/crowd-t3.json"
 "${crowd_cli}" "${crowd_inv[@]}" --threads 0 --out "${fuzz_dir}/crowd-t0.json"
 cmp "${fuzz_dir}/crowd-t3.json" "${fuzz_dir}/crowd-t0.json"
+
+# Every document the smoke steps wrote, and each CLI's --dump-scenario,
+# must be strict JSON (no NaN / Infinity, no trailing garbage).
+echo "==> smoke documents are strict JSON"
+for cli in hi_campaign hi_pareto hi_crowd; do
+  "./build-address/tools/${cli}" --dump-scenario \
+    > "${fuzz_dir}/${cli}-scenario.json"
+done
+strict_json "${fabric_dir}/fleet.json" "${pareto_out}" "${crowd_out}" \
+            "${fuzz_dir}/crowd-t0.json" "${fuzz_dir}/crowd-t3.json" \
+            "${fuzz_dir}"/hi_*-scenario.json
 
 # Perf-regression smoke: scaled-down benches gated at 40% against the
 # committed baselines (full-precision gate: scripts/bench.sh, 10%).

@@ -27,17 +27,6 @@ std::uint64_t now_realtime_ms() {
 
 }  // namespace
 
-const char* to_string(ClaimOutcome o) {
-  switch (o) {
-    case ClaimOutcome::kAcquired: return "acquired";
-    case ClaimOutcome::kStolen: return "stolen";
-    case ClaimOutcome::kRecovered: return "recovered";
-    case ClaimOutcome::kHeld: return "held";
-    case ClaimOutcome::kDone: return "done";
-  }
-  return "?";
-}
-
 ClaimBoard::ClaimBoard(std::string dir, std::uint64_t run_id, int slot,
                        int lease_ms, obs::MetricsRegistry* metrics)
     : dir_(std::move(dir)),

@@ -55,8 +55,6 @@ enum class ClaimOutcome {
   kDone,       ///< the row is already complete
 };
 
-[[nodiscard]] const char* to_string(ClaimOutcome o);
-
 /// Decoded claim-file content + lease state; exposed for tests.
 struct ClaimInfo {
   int pid = 0;

@@ -1,8 +1,6 @@
 #include "campaign/report.hpp"
 
-#include <cmath>
 #include <ostream>
-#include <sstream>
 
 #include "common/json_string.hpp"
 #include "store/serialize.hpp"
@@ -12,17 +10,6 @@ namespace hi::campaign {
 namespace {
 
 constexpr std::uint8_t kWorkerReportVersion = 1;
-
-const char* bool_str(bool v) { return v ? "true" : "false"; }
-
-/// JSON has no literal for inf/nan (an infeasible cell's best power is
-/// +inf) — emit null so the document stays parseable.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream oss;
-  oss << v;
-  return oss.str();
-}
 
 }  // namespace
 
@@ -51,35 +38,33 @@ std::uint64_t CampaignReport::skipped_cells() const {
 }
 
 void CampaignReport::print(std::ostream& os, bool json) const {
-  // Compatibility surface: this is the exact report hi_campaign printed
-  // before the fabric existed; tests parse these strings.
+  // Compatibility surface: the report hi_campaign printed before the
+  // fabric existed; tests parse these strings.
   if (json) {
-    os << "{\n  \"store\": " << json_string(store_path) << ",\n"
-       << "  \"recovery\": {\"records\": " << recovery.records
-       << ", \"corrupt_dropped\": " << recovery.corrupt_dropped
-       << ", \"tail_truncated\": " << bool_str(recovery.tail_truncated)
-       << "},\n"
-       << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellReport& c = cells[i];
-      os << "    {\"scenario\": " << json_string(c.scenario)
-         << ", \"pdr_min\": " << c.pdr_min
-         << ", \"skipped\": " << bool_str(c.skipped)
-         << ", \"feasible\": " << bool_str(c.result.feasible)
-         << ", \"best\": " << json_string(c.result.best.label())
-         << ", \"best_power_mw\": " << json_number(c.result.best_power_mw)
-         << ", \"best_pdr\": " << json_number(c.result.best_pdr)
-         << ", \"simulations\": " << c.result.simulations
-         << ", \"store_hits\": " << c.store_hits << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
+    JsonWriter w;
+    w.object(JsonWriter::kBlock).field("store", store_path);
+    w.key("recovery").object(JsonWriter::kInline);
+    w.field("records", recovery.records);
+    w.field("corrupt_dropped", recovery.corrupt_dropped);
+    w.field("tail_truncated", recovery.tail_truncated).end();
+    w.key("cells").array(JsonWriter::kBlock);
+    for (const CellReport& c : cells) {
+      w.object(JsonWriter::kInline).field("scenario", c.scenario);
+      w.field("pdr_min", c.pdr_min).field("skipped", c.skipped);
+      w.field("feasible", c.result.feasible);
+      w.field("best", c.result.best.label());
+      w.field("best_power_mw", c.result.best_power_mw);
+      w.field("best_pdr", c.result.best_pdr);
+      w.field("simulations", c.result.simulations);
+      w.field("store_hits", c.store_hits).end();
     }
-    os << "  ],\n"
-       << "  \"totals\": {\"cells\": " << cells.size()
-       << ", \"skipped\": " << skipped_cells()
-       << ", \"fresh_simulations\": " << total_fresh_simulations()
-       << ", \"store_hits\": " << total_store_hits()
-       << ", \"stored_evals\": " << stored_evals
-       << ", \"stored_cells\": " << stored_cells << "}\n}\n";
+    w.end().key("totals").object(JsonWriter::kInline);
+    w.field("cells", cells.size()).field("skipped", skipped_cells());
+    w.field("fresh_simulations", total_fresh_simulations());
+    w.field("store_hits", total_store_hits());
+    w.field("stored_evals", stored_evals);
+    w.field("stored_cells", stored_cells).end();
+    os << w.end().take();
     return;
   }
   for (const CellReport& c : cells) {
@@ -172,63 +157,51 @@ double FleetReport::throughput_cells_per_s() const {
 
 std::string FleetReport::to_json() const {
   const WorkerReport t = totals();
-  std::ostringstream os;
-  os << "{\n  \"shard_dir\": " << json_string(shard_dir) << ",\n"
-     << "  \"merged_store\": " << json_string(merged_path) << ",\n"
-     << "  \"run_id\": " << run_id << ",\n"
-     << "  \"workers\": " << workers << ",\n"
-     << "  \"complete\": " << bool_str(complete) << ",\n"
-     << "  \"planned_cells\": " << planned_cells << ",\n"
-     << "  \"checkpointed_cells\": " << checkpointed_cells << ",\n"
-     << "  \"wall_s\": " << wall_s << ",\n"
-     << "  \"throughput_cells_per_s\": " << throughput_cells_per_s() << ",\n"
-     << "  \"worker_reports\": [\n";
-  for (std::size_t i = 0; i < worker_reports.size(); ++i) {
-    const WorkerReport& w = worker_reports[i];
-    os << "    {\"slot\": " << w.slot << ", \"pid\": " << w.pid
-       << ", \"reported\": " << bool_str(w.reported)
-       << ", \"exit_code\": " << w.exit_code
-       << ", \"term_signal\": " << w.term_signal
-       << ", \"rows_claimed\": " << w.rows_claimed
-       << ", \"cells_done\": " << w.cells_done
-       << ", \"cells_skipped\": " << w.cells_skipped
-       << ", \"fresh_simulations\": " << w.fresh_simulations
-       << ", \"store_hits\": " << w.store_hits
-       << ", \"steals\": " << w.steals
-       << ", \"recoveries\": " << w.recoveries
-       << ", \"lease_expiries\": " << w.lease_expiries
-       << ", \"wall_s\": " << w.wall_s << "}"
-       << (i + 1 < worker_reports.size() ? "," : "") << "\n";
+  JsonWriter w;
+  w.object(JsonWriter::kBlock).field("shard_dir", shard_dir);
+  w.field("merged_store", merged_path).field("run_id", run_id);
+  w.field("workers", workers).field("complete", complete);
+  w.field("planned_cells", planned_cells);
+  w.field("checkpointed_cells", checkpointed_cells).field("wall_s", wall_s);
+  w.field("throughput_cells_per_s", throughput_cells_per_s());
+  w.key("worker_reports").array(JsonWriter::kBlock);
+  for (const WorkerReport& r : worker_reports) {
+    w.object(JsonWriter::kInline).field("slot", r.slot).field("pid", r.pid);
+    w.field("reported", r.reported).field("exit_code", r.exit_code);
+    w.field("term_signal", r.term_signal);
+    w.field("rows_claimed", r.rows_claimed);
+    w.field("cells_done", r.cells_done);
+    w.field("cells_skipped", r.cells_skipped);
+    w.field("fresh_simulations", r.fresh_simulations);
+    w.field("store_hits", r.store_hits).field("steals", r.steals);
+    w.field("recoveries", r.recoveries);
+    w.field("lease_expiries", r.lease_expiries);
+    w.field("wall_s", r.wall_s).end();
   }
-  os << "  ],\n"
-     << "  \"merge\": {\"evals\": " << merge.evals
-     << ", \"cells\": " << merge.cells << ", \"frames\": " << merge.frames
-     << ", \"duplicate_evals\": " << merge.duplicate_evals
-     << ", \"superseded_cells\": " << merge.superseded_cells
-     << ", \"clean\": " << bool_str(merge.clean()) << ", \"shards\": [\n";
-  for (std::size_t i = 0; i < merge.shards.size(); ++i) {
-    const store::EvalStore::ShardMergeStats& s = merge.shards[i];
-    os << "    {\"path\": " << json_string(s.path)
-       << ", \"present\": " << bool_str(s.present)
-       << ", \"records\": " << s.records
-       << ", \"evals_added\": " << s.evals_added
-       << ", \"cells_added\": " << s.cells_added
-       << ", \"duplicate_evals\": " << s.duplicate_evals
-       << ", \"superseded_cells\": " << s.superseded_cells
-       << ", \"corrupt_dropped\": " << s.corrupt_dropped
-       << ", \"tail_truncated\": " << bool_str(s.tail_truncated)
-       << ", \"desynced\": " << bool_str(s.desynced) << "}"
-       << (i + 1 < merge.shards.size() ? "," : "") << "\n";
+  w.end().key("merge").object(JsonWriter::kInline);
+  w.field("evals", merge.evals).field("cells", merge.cells);
+  w.field("frames", merge.frames);
+  w.field("duplicate_evals", merge.duplicate_evals);
+  w.field("superseded_cells", merge.superseded_cells);
+  w.field("clean", merge.clean()).key("shards").array(JsonWriter::kBlock);
+  for (const store::EvalStore::ShardMergeStats& s : merge.shards) {
+    w.object(JsonWriter::kInline).field("path", s.path);
+    w.field("present", s.present).field("records", s.records);
+    w.field("evals_added", s.evals_added).field("cells_added", s.cells_added);
+    w.field("duplicate_evals", s.duplicate_evals);
+    w.field("superseded_cells", s.superseded_cells);
+    w.field("corrupt_dropped", s.corrupt_dropped);
+    w.field("tail_truncated", s.tail_truncated);
+    w.field("desynced", s.desynced).end();
   }
-  os << "  ]},\n"
-     << "  \"totals\": {\"rows_claimed\": " << t.rows_claimed
-     << ", \"cells_done\": " << t.cells_done
-     << ", \"cells_skipped\": " << t.cells_skipped
-     << ", \"fresh_simulations\": " << t.fresh_simulations
-     << ", \"store_hits\": " << t.store_hits << ", \"steals\": " << t.steals
-     << ", \"recoveries\": " << t.recoveries
-     << ", \"lease_expiries\": " << t.lease_expiries << "}\n}\n";
-  return os.str();
+  w.end().end().key("totals").object(JsonWriter::kInline);
+  w.field("rows_claimed", t.rows_claimed).field("cells_done", t.cells_done);
+  w.field("cells_skipped", t.cells_skipped);
+  w.field("fresh_simulations", t.fresh_simulations);
+  w.field("store_hits", t.store_hits).field("steals", t.steals);
+  w.field("recoveries", t.recoveries);
+  w.field("lease_expiries", t.lease_expiries).end();
+  return w.end().take();
 }
 
 void FleetReport::print(std::ostream& os, bool json) const {

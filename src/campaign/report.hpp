@@ -1,7 +1,7 @@
 // hi-opt: hi::campaign — report types for single runs and fleets.
 //
 // CampaignReport is the classic single-process report (one row per
-// cell, exactly the text/JSON hi_campaign has always printed — tests
+// cell, the text/JSON layout hi_campaign has always printed — tests
 // parse those strings, so the format is a compatibility surface).
 // WorkerReport is the per-worker summary a fabric worker streams to
 // the parent over its pipe (binary, ByteWriter-framed — a SIGKILLed
@@ -28,8 +28,8 @@ struct CellReport {
   std::uint64_t store_hits = 0;  ///< store-served points (0 when skipped)
 };
 
-/// The single-process campaign outcome; print() preserves the legacy
-/// hi_campaign output byte-for-byte.
+/// The single-process campaign outcome; print() keeps the legacy
+/// hi_campaign layout (JSON through hi::JsonWriter).
 struct CampaignReport {
   std::string store_path;
   store::RecoveryStats recovery;

@@ -7,16 +7,6 @@
 
 namespace hi::check {
 
-const char* to_string(OracleStatus s) {
-  switch (s) {
-    case OracleStatus::kOptimal:
-      return "optimal";
-    case OracleStatus::kInfeasible:
-      return "infeasible";
-  }
-  return "?";
-}
-
 namespace {
 
 /// One candidate active hyperplane a'x = b.

@@ -31,8 +31,6 @@ namespace hi::check {
 /// bounded box, and rejects problems that do not have one.
 enum class OracleStatus { kOptimal, kInfeasible };
 
-[[nodiscard]] const char* to_string(OracleStatus s);
-
 /// Outcome of an exact LP solve.
 struct LpOracleResult {
   OracleStatus status = OracleStatus::kInfeasible;

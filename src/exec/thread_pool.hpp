@@ -59,9 +59,6 @@ class ThreadPool {
   /// Number of workers.
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Tasks queued but not yet picked up by a worker.
-  [[nodiscard]] std::size_t pending() const;
-
  private:
   void worker_loop();
 

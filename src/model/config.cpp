@@ -16,10 +16,6 @@ const char* to_string(RoutingProtocol p) {
   return p == RoutingProtocol::kStar ? "Star" : "Mesh";
 }
 
-const char* to_string(CsmaAccessMode m) {
-  return m == CsmaAccessMode::kNonPersistent ? "non-persistent" : "persistent";
-}
-
 Topology Topology::from_locations(const std::vector<int>& locs) {
   Topology t;
   for (int loc : locs) {

@@ -25,7 +25,6 @@ enum class RoutingProtocol { kStar, kMesh };
 
 [[nodiscard]] const char* to_string(MacProtocol p);
 [[nodiscard]] const char* to_string(RoutingProtocol p);
-[[nodiscard]] const char* to_string(CsmaAccessMode m);
 
 /// Radio configuration χrd = (fc, BR, TxdBm, TxmW, RxdBm, RxmW), Eq. (2).
 struct RadioConfig {

@@ -1,26 +1,11 @@
 #include "obs/snapshot.hpp"
 
 #include <cmath>
-#include <limits>
 #include <ostream>
 
 #include "common/json_string.hpp"
 
 namespace hi::obs {
-
-namespace {
-
-void write_json_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";  // JSON has no inf/nan
-    return;
-  }
-  const auto old = os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  os.precision(old);
-}
-
-}  // namespace
 
 double HistogramSummary::approx_quantile(double q) const {
   if (count == 0) {
@@ -82,40 +67,18 @@ Snapshot Snapshot::delta_since(const Snapshot& base) const {
 }
 
 void Snapshot::write_json(std::ostream& os) const {
-  os << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    os << (first ? "" : ", ");
-    os << json_string(name);
-    os << ": " << v;
-    first = false;
-  }
-  os << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    os << (first ? "" : ", ");
-    os << json_string(name);
-    os << ": ";
-    write_json_double(os, v);
-    first = false;
-  }
-  os << "}, \"histograms\": {";
-  first = true;
+  JsonWriter w;
+  w.object(JsonWriter::kInline).key("counters").object(JsonWriter::kInline);
+  for (const auto& [name, v] : counters) w.field(name, v);
+  w.end().key("gauges").object(JsonWriter::kInline);
+  for (const auto& [name, v] : gauges) w.field(name, v);
+  w.end().key("histograms").object(JsonWriter::kInline);
   for (const auto& [name, h] : histograms) {
-    os << (first ? "" : ", ");
-    os << json_string(name);
-    os << ": {\"count\": " << h.count << ", \"sum\": ";
-    write_json_double(os, h.sum);
-    os << ", \"min\": ";
-    write_json_double(os, h.min);
-    os << ", \"max\": ";
-    write_json_double(os, h.max);
-    os << ", \"mean\": ";
-    write_json_double(os, h.mean());
-    os << "}";
-    first = false;
+    w.key(name).object(JsonWriter::kInline).field("count", h.count);
+    w.field("sum", h.sum).field("min", h.min).field("max", h.max);
+    w.field("mean", h.mean()).end();
   }
-  os << "}}";
+  os << w.end().end().take();
 }
 
 }  // namespace hi::obs

@@ -62,7 +62,8 @@ struct Snapshot {
   ///   {"counters": {...}, "gauges": {...},
   ///    "histograms": {"name": {"count":..,"sum":..,"min":..,"max":..,
   ///                            "mean":..}, ...}}
-  /// Doubles round-trip (max_digits10).  No trailing newline.
+  /// Doubles print shortest round-trip, inf/nan as null (hi::JsonWriter).
+  /// No trailing newline.
   void write_json(std::ostream& os) const;
 };
 

@@ -2,6 +2,9 @@
 
 #include <limits>
 #include <ostream>
+#include <string>
+
+#include "common/json_string.hpp"
 
 namespace hi::obs {
 
@@ -20,13 +23,14 @@ const char* to_string(TraceKind kind) {
 }
 
 void JsonlTraceSink::on_event(const TraceEvent& e) {
+  JsonWriter w;
+  w.object(JsonWriter::kInline).field("t", e.t_s);
+  w.field("kind", to_string(e.kind)).field("node", e.node);
+  w.field("peer", e.peer).field("a", e.a);
+  w.field("x", e.x).field("y", e.y).end();
+  const std::string line = w.take();
   std::lock_guard<std::mutex> lock(mu_);
-  const auto old = os_.precision(std::numeric_limits<double>::max_digits10);
-  os_ << "{\"t\": " << e.t_s << ", \"kind\": \"" << to_string(e.kind)
-      << "\", \"node\": " << e.node << ", \"peer\": " << e.peer
-      << ", \"a\": " << e.a << ", \"x\": " << e.x << ", \"y\": " << e.y
-      << "}\n";
-  os_.precision(old);
+  os_ << line << '\n';
 }
 
 void CsvTraceSink::on_event(const TraceEvent& e) {

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/json_string.hpp"
 #include "store/json.hpp"
 
 namespace hi::store {
@@ -53,59 +54,43 @@ namespace {
 using detail::JsonParser;
 using detail::JsonValue;
 using detail::ObjectReader;
-using detail::fmt_double;
 
 }  // namespace
 
 std::string crowd_scenario_to_json(const model::CrowdScenario& sc) {
   const model::NetworkConfig& c = sc.cfg;
-  std::string out;
-  out += "{\n  \"format\": \"hi-crowd-scenario-v1\",\n";
-  out += "  \"config\": {\n";
-  out += "    \"topology_mask\": " + std::to_string(c.topology.mask()) + ",\n";
-  out += "    \"fc_hz\": " + fmt_double(c.radio.fc_hz);
-  out += ",\n    \"bit_rate_bps\": " + fmt_double(c.radio.bit_rate_bps);
-  out += ",\n    \"tx_dbm\": " + fmt_double(c.radio.tx_dbm);
-  out += ",\n    \"tx_mw\": " + fmt_double(c.radio.tx_mw);
-  out += ",\n    \"rx_dbm\": " + fmt_double(c.radio.rx_dbm);
-  out += ",\n    \"rx_mw\": " + fmt_double(c.radio.rx_mw);
-  out += ",\n    \"tx_level_index\": " + std::to_string(c.tx_level_index);
-  out += ",\n    \"mac\": \"";
-  out += c.mac.protocol == model::MacProtocol::kTdma ? "tdma" : "csma";
-  out += "\",\n    \"mac_buffer_packets\": " +
-         std::to_string(c.mac.buffer_packets);
-  out += ",\n    \"csma_persistent\": ";
-  out += c.mac.access_mode == model::CsmaAccessMode::kPersistent ? "true"
-                                                                 : "false";
-  out += ",\n    \"tdma_slot_s\": " + fmt_double(c.mac.slot_s);
-  out += ",\n    \"routing\": \"";
-  out += c.routing.protocol == model::RoutingProtocol::kMesh ? "mesh" : "star";
-  out += "\",\n    \"coordinator\": " + std::to_string(c.routing.coordinator);
-  out += ",\n    \"max_hops\": " + std::to_string(c.routing.max_hops);
-  out += ",\n    \"baseline_mw\": " + fmt_double(c.app.baseline_mw);
-  out += ",\n    \"packet_bytes\": " + std::to_string(c.app.packet_bytes);
-  out += ",\n    \"throughput_pps\": " + fmt_double(c.app.throughput_pps);
-  out += ",\n    \"battery_j\": " + fmt_double(c.battery_j);
-  out += "\n  },\n";
-  out += "  \"bodies\": " + std::to_string(sc.bodies) + ",\n";
-  out += "  \"spacing_m\": " + fmt_double(sc.spacing_m) + ",\n";
-  out += "  \"cols\": " + std::to_string(sc.cols) + ",\n";
-  out += "  \"placement\": [";
-  for (std::size_t i = 0; i < sc.placement.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "{\"x_m\": " + fmt_double(sc.placement[i].x_m) +
-           ", \"y_m\": " + fmt_double(sc.placement[i].y_m) + "}";
+  JsonWriter w;
+  w.object(JsonWriter::kBlock).field("format", "hi-crowd-scenario-v1");
+  w.key("config").object(JsonWriter::kBlock);
+  w.field("topology_mask", c.topology.mask());
+  w.field("fc_hz", c.radio.fc_hz).field("bit_rate_bps", c.radio.bit_rate_bps);
+  w.field("tx_dbm", c.radio.tx_dbm).field("tx_mw", c.radio.tx_mw);
+  w.field("rx_dbm", c.radio.rx_dbm).field("rx_mw", c.radio.rx_mw);
+  w.field("tx_level_index", c.tx_level_index);
+  w.field("mac", c.mac.protocol == model::MacProtocol::kTdma ? "tdma" : "csma");
+  w.field("mac_buffer_packets", c.mac.buffer_packets);
+  w.field("csma_persistent",
+          c.mac.access_mode == model::CsmaAccessMode::kPersistent);
+  w.field("tdma_slot_s", c.mac.slot_s);
+  const bool mesh = c.routing.protocol == model::RoutingProtocol::kMesh;
+  w.field("routing", mesh ? "mesh" : "star");
+  w.field("coordinator", c.routing.coordinator);
+  w.field("max_hops", c.routing.max_hops);
+  w.field("baseline_mw", c.app.baseline_mw);
+  w.field("packet_bytes", c.app.packet_bytes);
+  w.field("throughput_pps", c.app.throughput_pps);
+  w.field("battery_j", c.battery_j).end();
+  w.field("bodies", sc.bodies).field("spacing_m", sc.spacing_m);
+  w.field("cols", sc.cols).key("placement").array(JsonWriter::kInline);
+  for (const model::BodyPlacement& p : sc.placement) {
+    w.object(JsonWriter::kInline).field("x_m", p.x_m).field("y_m", p.y_m).end();
   }
-  out += "],\n";
-  out += "  \"inter\": {\"pl0_db\": " + fmt_double(sc.inter.pl0_db) +
-         ", \"d0_m\": " + fmt_double(sc.inter.d0_m) +
-         ", \"exponent\": " + fmt_double(sc.inter.exponent) +
-         ", \"shadow_db\": " + fmt_double(sc.inter.shadow_db) +
-         ", \"sigma_db\": " + fmt_double(sc.inter.sigma_db) +
-         ", \"tau_s\": " + fmt_double(sc.inter.tau_s) +
-         ", \"min_distance_m\": " + fmt_double(sc.inter.min_distance_m) +
-         "}\n}\n";
-  return out;
+  w.end().key("inter").object(JsonWriter::kInline);
+  w.field("pl0_db", sc.inter.pl0_db).field("d0_m", sc.inter.d0_m);
+  w.field("exponent", sc.inter.exponent).field("shadow_db", sc.inter.shadow_db);
+  w.field("sigma_db", sc.inter.sigma_db).field("tau_s", sc.inter.tau_s);
+  w.field("min_distance_m", sc.inter.min_distance_m).end();
+  return w.end().take();
 }
 
 std::optional<model::CrowdScenario> crowd_scenario_from_json(
@@ -179,18 +164,12 @@ std::optional<model::CrowdScenario> crowd_scenario_from_json(
   sc.bodies = b.integer(*root, "bodies");
   sc.spacing_m = b.num(*root, "spacing_m");
   sc.cols = b.integer(*root, "cols");
-  if (const JsonValue* pl = b.require(*root, "placement"); pl != nullptr) {
-    if (pl->kind != JsonValue::Kind::kArray) {
-      b.fail("field 'placement' must be an array");
-    } else {
-      for (const JsonValue& p : pl->items) {
-        b.check_keys(p, {"x_m", "y_m"});
-        model::BodyPlacement bp;
-        bp.x_m = b.num(p, "x_m");
-        bp.y_m = b.num(p, "y_m");
-        sc.placement.push_back(bp);
-      }
-    }
+  for (const JsonValue& p : b.array(*root, "placement")) {
+    b.check_keys(p, {"x_m", "y_m"});
+    model::BodyPlacement bp;
+    bp.x_m = b.num(p, "x_m");
+    bp.y_m = b.num(p, "y_m");
+    sc.placement.push_back(bp);
   }
   if (const JsonValue* in = b.require(*root, "inter"); in != nullptr) {
     b.check_keys(*in, {"pl0_db", "d0_m", "exponent", "shadow_db", "sigma_db",

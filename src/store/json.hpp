@@ -1,21 +1,20 @@
-// hi-opt: the store's in-house JSON kit, shared by every codec that
-// emits or parses an hi-*/v1 interchange document (scenarios, crowd
-// scenarios, CLI reports).
+// hi-opt: the store's in-house JSON parser, shared by every codec that
+// reads an hi-*/v1 interchange document (scenarios, crowd scenarios).
+// Documents are written with hi::JsonWriter (common/json_string.hpp).
 //
-// Deliberately small: objects, arrays, strings, numbers,
-// true/false/null — exactly what the writers emit.  Doubles are printed
-// shortest-round-trip (std::to_chars) and parsed with strtod, so a
-// serialize → parse → serialize cycle is a fixed point and fingerprints
-// computed over parsed values survive the trip.  Lives in
-// hi::store::detail: tools may use it, but it is not a supported public
-// parsing API.
+// Deliberately small and strict: objects, arrays, strings, numbers,
+// true/false/null.  A number must match the JSON grammar and parse to a
+// finite double (std::from_chars on the scanned span), so inf, nan, hex,
+// a leading '+' or '.' and out-of-range magnitudes are rejected.  The
+// writers print the shortest round-trip form, so a serialize → parse →
+// serialize cycle is a fixed point and fingerprints computed over parsed
+// values survive the trip.  Lives in hi::store::detail: tools may use
+// it, but it is not a supported public parsing API.
 #pragma once
 
-#include <algorithm>
-#include <array>
+#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <initializer_list>
 #include <optional>
 #include <string>
@@ -23,18 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/json_string.hpp"
-
 namespace hi::store::detail {
-
-/// Shortest exact decimal rendering of a double (std::to_chars), so the
-/// JSON form round-trips bit for bit through strtod.
-inline std::string fmt_double(double v) {
-  std::array<char, 40> buf{};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf.data(), end);
-}
 
 /// Parsed JSON tree node; see the file comment for the supported grammar.
 struct JsonValue {
@@ -226,24 +214,38 @@ class JsonParser {
     return v;
   }
 
+  /// One JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// scanned in place and converted without a copy.
   std::optional<JsonValue> number() {
-    // Copy a bounded window: the string_view need not be
-    // null-terminated, which strtod requires.  strtod accepts exactly
-    // the JSON number grammar plus a few extensions (hex, inf, nan)
-    // that the writers never emit.
-    const std::string window(
-        s_.substr(pos_, std::min<std::size_t>(64, s_.size() - pos_)));
-    char* end = nullptr;
-    const double d = std::strtod(window.c_str(), &end);
-    if (end == window.c_str()) {
-      fail("expected a number");
-      return std::nullopt;
+    const std::size_t start = pos_;
+    const auto accept = [&](char c) {
+      const bool hit = pos_ < s_.size() && s_[pos_] == c;
+      pos_ += hit ? 1 : 0;
+      return hit;
+    };
+    const auto digits = [&] {
+      const std::size_t from = pos_;
+      while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+      return pos_ > from;
+    };
+    accept('-');
+    bool ok = accept('0') || digits();
+    if (ok && accept('.')) ok = digits();
+    if (ok && (accept('e') || accept('E'))) {
+      if (!accept('+')) accept('-');
+      ok = digits();
     }
-    pos_ += static_cast<std::size_t>(end - window.c_str());
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    v.number = d;
-    return v;
+    if (ok) {
+      // from_chars also rejects a magnitude outside the double range.
+      const auto res =
+          std::from_chars(s_.data() + start, s_.data() + pos_, v.number);
+      if (res.ec == std::errc{}) return v;
+    }
+    pos_ = start;
+    fail("expected a finite JSON number");
+    return std::nullopt;
   }
 
   std::string_view s_;
@@ -277,7 +279,7 @@ class ObjectReader {
   int integer(const JsonValue& obj, std::string_view key) {
     const double d = num(obj, key);
     if (failed_) return 0;
-    if (d != std::floor(d) || std::abs(d) > 1e9) {
+    if (!is_int(d)) {
       fail("field '" + std::string(key) + "' must be an integer");
       return 0;
     }
@@ -303,17 +305,24 @@ class ObjectReader {
     return v;
   }
 
-  std::vector<int> int_array(const JsonValue& obj, std::string_view key) {
-    std::vector<int> out;
+  /// The items of the array at `key`; none once anything has failed, so
+  /// a field of another kind is an error, never an empty list.
+  const std::vector<JsonValue>& array(const JsonValue& obj,
+                                      std::string_view key) {
+    static const std::vector<JsonValue> kNone;
     const JsonValue* v = require(obj, key);
-    if (v == nullptr) return out;
+    if (v == nullptr) return kNone;
     if (v->kind != JsonValue::Kind::kArray) {
       fail("field '" + std::string(key) + "' must be an array");
-      return out;
+      return kNone;
     }
-    for (const JsonValue& item : v->items) {
-      if (item.kind != JsonValue::Kind::kNumber ||
-          item.number != std::floor(item.number)) {
+    return v->items;
+  }
+
+  std::vector<int> int_array(const JsonValue& obj, std::string_view key) {
+    std::vector<int> out;
+    for (const JsonValue& item : array(obj, key)) {
+      if (item.kind != JsonValue::Kind::kNumber || !is_int(item.number)) {
         fail("field '" + std::string(key) + "' must hold integers");
         return out;
       }
@@ -340,6 +349,11 @@ class ObjectReader {
   }
 
  private:
+  /// Integral and small enough to convert to int without overflow.
+  static bool is_int(double d) {
+    return d == std::floor(d) && std::abs(d) <= 1e9;
+  }
+
   std::string* error_;
   bool failed_ = false;
 };

@@ -1,8 +1,6 @@
 #include "store/serialize.hpp"
 
 #include <algorithm>
-
-#include "store/json.hpp"
 #include <bit>
 #include <cctype>
 #include <charconv>
@@ -12,6 +10,9 @@
 #include <cstring>
 #include <utility>
 #include <vector>
+
+#include "common/json_string.hpp"
+#include "store/json.hpp"
 
 namespace hi::store {
 
@@ -516,76 +517,50 @@ Digest options_fingerprint(const dse::ExplorationOptions& opt,
 
 // --- scenario JSON ------------------------------------------------------
 
-// The JSON machinery (parser, typed accessors, shortest-round-trip
-// double formatting) lives in store/json.hpp so the crowd codec and the
-// CLI report writers share one implementation.
+// The parser and typed accessors live in store/json.hpp so the crowd
+// codec shares them; every writer goes through hi::JsonWriter.
 namespace {
 
 using detail::JsonParser;
 using detail::JsonValue;
-using detail::fmt_double;
 using ScenarioBuilder = detail::ObjectReader;
 
 }  // namespace
 
 std::string scenario_to_json(const model::Scenario& sc) {
-  std::string out;
-  out += "{\n  \"format\": \"hi-scenario-v1\",\n";
-  out += "  \"chip\": {\n    \"name\": ";
-  put_json_string(out, sc.chip.name);
-  out += ",\n    \"fc_hz\": " + fmt_double(sc.chip.fc_hz);
-  out += ",\n    \"bit_rate_bps\": " + fmt_double(sc.chip.bit_rate_bps);
-  out += ",\n    \"rx_dbm\": " + fmt_double(sc.chip.rx_dbm);
-  out += ",\n    \"rx_mw\": " + fmt_double(sc.chip.rx_mw);
-  out += ",\n    \"tx_levels\": [";
-  for (std::size_t i = 0; i < sc.chip.tx_levels.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "{\"dbm\": " + fmt_double(sc.chip.tx_levels[i].dbm) +
-           ", \"mw\": " + fmt_double(sc.chip.tx_levels[i].mw) + "}";
+  JsonWriter w;
+  w.object(JsonWriter::kBlock).field("format", "hi-scenario-v1");
+  w.key("chip").object(JsonWriter::kBlock).field("name", sc.chip.name);
+  w.field("fc_hz", sc.chip.fc_hz).field("bit_rate_bps", sc.chip.bit_rate_bps);
+  w.field("rx_dbm", sc.chip.rx_dbm).field("rx_mw", sc.chip.rx_mw);
+  w.key("tx_levels").array(JsonWriter::kInline);
+  for (const model::TxLevel& l : sc.chip.tx_levels) {
+    w.object(JsonWriter::kInline).field("dbm", l.dbm).field("mw", l.mw).end();
   }
-  out += "]\n  },\n";
-  out += "  \"app\": {\"baseline_mw\": " + fmt_double(sc.app.baseline_mw) +
-         ", \"packet_bytes\": " + std::to_string(sc.app.packet_bytes) +
-         ", \"throughput_pps\": " + fmt_double(sc.app.throughput_pps) +
-         "},\n";
-  out += "  \"battery_j\": " + fmt_double(sc.battery_j) + ",\n";
-  out += "  \"coordinator\": " + std::to_string(sc.coordinator) + ",\n";
-  out += "  \"max_hops\": " + std::to_string(sc.max_hops) + ",\n";
-  out += "  \"tdma_slot_s\": " + fmt_double(sc.tdma_slot_s) + ",\n";
-  out += "  \"mac_buffer_packets\": " + std::to_string(sc.mac_buffer_packets) +
-         ",\n";
-  out += "  \"required_locations\": [";
-  for (std::size_t i = 0; i < sc.required_locations.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(sc.required_locations[i]);
+  w.end().end();
+  w.key("app").object(JsonWriter::kInline);
+  w.field("baseline_mw", sc.app.baseline_mw)
+      .field("packet_bytes", sc.app.packet_bytes)
+      .field("throughput_pps", sc.app.throughput_pps)
+      .end();
+  w.field("battery_j", sc.battery_j).field("coordinator", sc.coordinator);
+  w.field("max_hops", sc.max_hops).field("tdma_slot_s", sc.tdma_slot_s);
+  w.field("mac_buffer_packets", sc.mac_buffer_packets);
+  w.key("required_locations").array(JsonWriter::kInline);
+  for (int loc : sc.required_locations) w.value(loc);
+  w.end().key("coverage").array(JsonWriter::kBlock);
+  for (const model::CoverageConstraint& c : sc.coverage) {
+    w.object(JsonWriter::kInline).key("locations").array(JsonWriter::kInline);
+    for (int loc : c.locations) w.value(loc);
+    w.end().field("reason", c.reason).end();
   }
-  out += "],\n  \"coverage\": [";
-  for (std::size_t i = 0; i < sc.coverage.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\n    {\"locations\": [";
-    for (std::size_t j = 0; j < sc.coverage[i].locations.size(); ++j) {
-      if (j > 0) out += ", ";
-      out += std::to_string(sc.coverage[i].locations[j]);
-    }
-    out += "], \"reason\": ";
-    put_json_string(out, sc.coverage[i].reason);
-    out += "}";
+  w.end().key("dependencies").array(JsonWriter::kBlock);
+  for (const model::DependencyConstraint& d : sc.dependencies) {
+    w.object(JsonWriter::kInline).field("if_used", d.if_used);
+    w.field("then_used", d.then_used).field("reason", d.reason).end();
   }
-  if (!sc.coverage.empty()) out += "\n  ";
-  out += "],\n  \"dependencies\": [";
-  for (std::size_t i = 0; i < sc.dependencies.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\n    {\"if_used\": " + std::to_string(sc.dependencies[i].if_used) +
-           ", \"then_used\": " + std::to_string(sc.dependencies[i].then_used) +
-           ", \"reason\": ";
-    put_json_string(out, sc.dependencies[i].reason);
-    out += "}";
-  }
-  if (!sc.dependencies.empty()) out += "\n  ";
-  out += "],\n";
-  out += "  \"min_nodes\": " + std::to_string(sc.min_nodes) + ",\n";
-  out += "  \"max_nodes\": " + std::to_string(sc.max_nodes) + "\n}\n";
-  return out;
+  w.end().field("min_nodes", sc.min_nodes).field("max_nodes", sc.max_nodes);
+  return w.end().take();
 }
 
 std::optional<model::Scenario> scenario_from_json(std::string_view json,
@@ -617,15 +592,12 @@ std::optional<model::Scenario> scenario_from_json(std::string_view json,
     sc.chip.rx_dbm = b.num(*chip, "rx_dbm");
     sc.chip.rx_mw = b.num(*chip, "rx_mw");
     sc.chip.tx_levels.clear();
-    if (const JsonValue* levels = b.require(*chip, "tx_levels");
-        levels != nullptr && levels->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& l : levels->items) {
-        b.check_keys(l, {"dbm", "mw"});
-        model::TxLevel level;
-        level.dbm = b.num(l, "dbm");
-        level.mw = b.num(l, "mw");
-        sc.chip.tx_levels.push_back(level);
-      }
+    for (const JsonValue& l : b.array(*chip, "tx_levels")) {
+      b.check_keys(l, {"dbm", "mw"});
+      model::TxLevel level;
+      level.dbm = b.num(l, "dbm");
+      level.mw = b.num(l, "mw");
+      sc.chip.tx_levels.push_back(level);
     }
   }
   if (const JsonValue* app = b.require(*root, "app"); app != nullptr) {
@@ -641,32 +613,26 @@ std::optional<model::Scenario> scenario_from_json(std::string_view json,
   sc.mac_buffer_packets = b.integer(*root, "mac_buffer_packets");
   sc.required_locations = b.int_array(*root, "required_locations");
   sc.coverage.clear();
-  if (const JsonValue* cov = b.require(*root, "coverage");
-      cov != nullptr && cov->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& group : cov->items) {
-      b.check_keys(group, {"locations", "reason"});
-      model::CoverageConstraint c;
-      c.locations = b.int_array(group, "locations");
-      // reason is a non-owning const char*; the JSON text would dangle.
-      // Fingerprints ignore reasons, so parsing it back as "" is lossless
-      // for every identity the store depends on.
-      c.reason = "";
-      (void)b.str(group, "reason");
-      sc.coverage.push_back(std::move(c));
-    }
+  for (const JsonValue& group : b.array(*root, "coverage")) {
+    b.check_keys(group, {"locations", "reason"});
+    model::CoverageConstraint c;
+    c.locations = b.int_array(group, "locations");
+    // reason is a non-owning const char*; the JSON text would dangle.
+    // Fingerprints ignore reasons, so parsing it back as "" is lossless
+    // for every identity the store depends on.
+    c.reason = "";
+    (void)b.str(group, "reason");
+    sc.coverage.push_back(std::move(c));
   }
   sc.dependencies.clear();
-  if (const JsonValue* deps = b.require(*root, "dependencies");
-      deps != nullptr && deps->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& dep : deps->items) {
-      b.check_keys(dep, {"if_used", "then_used", "reason"});
-      model::DependencyConstraint d;
-      d.if_used = b.integer(dep, "if_used");
-      d.then_used = b.integer(dep, "then_used");
-      d.reason = "";
-      (void)b.str(dep, "reason");
-      sc.dependencies.push_back(d);
-    }
+  for (const JsonValue& dep : b.array(*root, "dependencies")) {
+    b.check_keys(dep, {"if_used", "then_used", "reason"});
+    model::DependencyConstraint d;
+    d.if_used = b.integer(dep, "if_used");
+    d.then_used = b.integer(dep, "then_used");
+    d.reason = "";
+    (void)b.str(dep, "reason");
+    sc.dependencies.push_back(d);
   }
   sc.min_nodes = b.integer(*root, "min_nodes");
   sc.max_nodes = b.integer(*root, "max_nodes");

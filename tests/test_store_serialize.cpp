@@ -1,9 +1,10 @@
 // hi::store serialization: binary codec round-trips, fingerprint
-// sensitivity (and insensitivity to cosmetic strings), and the scenario
-// JSON interchange form.
+// sensitivity (and insensitivity to cosmetic strings), the scenario
+// JSON interchange form, and one exact document per JSON writer schema.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,8 +15,10 @@
 #include "check/store_props.hpp"
 #include "common/json_string.hpp"
 #include "dse/evaluator.hpp"
+#include "model/crowd.hpp"
 #include "model/design_space.hpp"
 #include "obs/metrics.hpp"
+#include "store/crowd_codec.hpp"
 #include "store/json.hpp"
 #include "store/serialize.hpp"
 
@@ -227,6 +230,50 @@ TEST(StoreSerialize, ScenarioJsonRejectsUnknownKeysAndGarbage) {
   json.replace(json.find(key), key.size(), "\"max_hopz\"");
   EXPECT_FALSE(store::scenario_from_json(json, &err).has_value());
   EXPECT_NE(err.find("max_hopz"), std::string::npos);
+
+  // Only the JSON number grammar, and only finite values: none of these
+  // may reach Scenario::battery_j.
+  const std::string doc = store::scenario_to_json(model::Scenario{});
+  const std::string battery = "\"battery_j\": 2430,";
+  ASSERT_NE(doc.find(battery), std::string::npos);
+  const auto with_battery = [&](const std::string& token) {
+    std::string j = doc;
+    return j.replace(j.find(battery), battery.size(),
+                     "\"battery_j\": " + token + ",");
+  };
+  for (const char* token : {"inf", "-nan", "1e999", "0x10", "+5", ".5"}) {
+    err.clear();
+    EXPECT_FALSE(store::scenario_from_json(with_battery(token), &err))
+        << token;
+    EXPECT_FALSE(err.empty()) << token;
+  }
+  const auto ok = store::scenario_from_json(with_battery("-2.43E+3"), &err);
+  ASSERT_TRUE(ok.has_value()) << err;
+  EXPECT_EQ(ok->battery_j, -2430.0);
+}
+
+/// `json` with the array value of `"key"` replaced by `value`.
+std::string replace_array(std::string json, const std::string& key,
+                          const std::string& value) {
+  const std::size_t open = json.find("\"" + key + "\": [") + key.size() + 4;
+  std::size_t close = open;
+  for (int depth = 0; close == open || depth > 0; ++close) {
+    depth += json[close] == '[' ? 1 : (json[close] == ']' ? -1 : 0);
+  }
+  return json.replace(open, close - open, value);
+}
+
+TEST(StoreSerialize, ScenarioJsonRejectsNonArrayFields) {
+  const std::string doc = store::scenario_to_json(model::Scenario{});
+  for (const char* key : {"coverage", "dependencies", "tx_levels"}) {
+    std::string err;
+    EXPECT_FALSE(store::scenario_from_json(replace_array(doc, key, "5"), &err))
+        << key;
+    EXPECT_EQ(err, "field '" + std::string(key) + "' must be an array");
+    // The same document with an array there still parses.
+    EXPECT_TRUE(store::scenario_from_json(replace_array(doc, key, "[]"), &err))
+        << key << ": " << err;
+  }
 }
 
 TEST(StoreSerialize, EveryJsonEmitterRoundTripsEscapedStrings) {
@@ -248,7 +295,7 @@ TEST(StoreSerialize, EveryJsonEmitterRoundTripsEscapedStrings) {
     return f != nullptr ? f->text : std::string("<missing>");
   };
 
-  EXPECT_EQ(parse(json_string(nasty)).text, nasty);
+  EXPECT_EQ(parse(JsonWriter().value(nasty).take()).text, nasty);
 
   model::Scenario sc;
   sc.chip.name = nasty;
@@ -277,6 +324,196 @@ TEST(StoreSerialize, EveryJsonEmitterRoundTripsEscapedStrings) {
   const store::detail::JsonValue fj = parse(fleet.to_json());
   EXPECT_EQ(text_at(fj, "shard_dir"), nasty);
   EXPECT_EQ(text_at(fj, "merged_store"), nasty);
+}
+
+// ---- one pinned document per library schema ----------------------------
+
+TEST(JsonWriter, OneLayoutRuleAndOneNumberRule) {
+  JsonWriter w;
+  w.object(JsonWriter::kBlock).key("empty").array(JsonWriter::kBlock).end();
+  w.key("row").object(JsonWriter::kInline).field("n", -3).field("ok", true);
+  w.key("nested").array(JsonWriter::kBlock).value(0.1).value(1e300).end();
+  w.field("s", "q\"").end().field("x", 0.1 + 0.2);
+  w.field("inf", std::numeric_limits<double>::infinity()).field("nan", NAN);
+  EXPECT_EQ(w.end().take(), R"json({
+  "empty": [],
+  "row": {"n": -3, "ok": true, "nested": [
+    0.1,
+    1e+300
+  ], "s": "q\""},
+  "x": 0.30000000000000004,
+  "inf": null,
+  "nan": null
+}
+)json");
+  JsonWriter line;
+  line.array(JsonWriter::kInline).object(JsonWriter::kInline).end();
+  EXPECT_EQ(line.value(-0.0).end().take(), "[{}, -0]");
+}
+
+TEST(StoreSerialize, PinnedScenarioJson) {
+  EXPECT_EQ(store::scenario_to_json(custom_example_scenario()), R"json({
+  "format": "hi-scenario-v1",
+  "chip": {
+    "name": "hypothetical sub-mW WBAN radio",
+    "fc_hz": 2.4e+09,
+    "bit_rate_bps": 250000,
+    "rx_dbm": -100,
+    "rx_mw": 6,
+    "tx_levels": [{"dbm": -16, "mw": 4.2}, {"dbm": -8, "mw": 5.5}, {"dbm": 0, "mw": 8.9}]
+  },
+  "app": {"baseline_mw": 0.1, "packet_bytes": 100, "throughput_pps": 5},
+  "battery_j": 2430,
+  "coordinator": 0,
+  "max_hops": 2,
+  "tdma_slot_s": 0.004,
+  "mac_buffer_packets": 16,
+  "required_locations": [0, 8],
+  "coverage": [
+    {"locations": [1, 2], "reason": "gait (hip)"},
+    {"locations": [3, 4], "reason": "gait (foot)"},
+    {"locations": [5, 6], "reason": "vitals (wrist)"}
+  ],
+  "dependencies": [
+    {"if_used": 7, "then_used": 8, "reason": "head strap needs a neck relay"}
+  ],
+  "min_nodes": 5,
+  "max_nodes": 6
+}
+)json");
+}
+
+TEST(StoreSerialize, PinnedCrowdScenarioJson) {
+  model::CrowdScenario cs;
+  cs.cfg.topology = model::Topology::from_mask(0x0F1);
+  cs.cfg.mac.protocol = model::MacProtocol::kTdma;
+  cs.cfg.mac.access_mode = model::CsmaAccessMode::kPersistent;
+  cs.bodies = 2;
+  cs.placement = {{0.0, 0.0}, {1.5, 0.1 + 0.2}};
+  EXPECT_EQ(store::crowd_scenario_to_json(cs), R"json({
+  "format": "hi-crowd-scenario-v1",
+  "config": {
+    "topology_mask": 241,
+    "fc_hz": 2.4e+09,
+    "bit_rate_bps": 1024000,
+    "tx_dbm": 0,
+    "tx_mw": 18.3,
+    "rx_dbm": -97,
+    "rx_mw": 17.7,
+    "tx_level_index": 0,
+    "mac": "tdma",
+    "mac_buffer_packets": 16,
+    "csma_persistent": true,
+    "tdma_slot_s": 0.001,
+    "routing": "star",
+    "coordinator": 0,
+    "max_hops": 2,
+    "baseline_mw": 0.1,
+    "packet_bytes": 100,
+    "throughput_pps": 10,
+    "battery_j": 2430
+  },
+  "bodies": 2,
+  "spacing_m": 1,
+  "cols": 0,
+  "placement": [{"x_m": 0, "y_m": 0}, {"x_m": 1.5, "y_m": 0.30000000000000004}],
+  "inter": {"pl0_db": 55, "d0_m": 1, "exponent": 3, "shadow_db": 7, "sigma_db": 6, "tau_s": 1, "min_distance_m": 0.2}
+}
+)json");
+}
+
+TEST(CampaignReport, PinnedJsonPrintsNullAndShortestRoundTrip) {
+  campaign::CampaignReport rep;
+  rep.store_path = "camp.store";
+  rep.recovery.records = 7;
+  rep.recovery.corrupt_dropped = 1;
+  rep.recovery.tail_truncated = true;
+  campaign::CellReport infeasible;
+  infeasible.scenario = "paper";
+  infeasible.pdr_min = 0.99;
+  infeasible.result.best_power_mw = std::numeric_limits<double>::infinity();
+  infeasible.result.simulations = 12;
+  campaign::CellReport feasible;
+  feasible.scenario = "paper";
+  feasible.pdr_min = 0.9;
+  feasible.skipped = true;
+  feasible.result.feasible = true;
+  feasible.result.best_power_mw = 0.1 * 3.0;  // needs 17 digits
+  feasible.result.best_pdr = 0.9375;
+  feasible.store_hits = 3;
+  rep.cells = {infeasible, feasible};
+  rep.stored_evals = 12;
+  rep.stored_cells = 2;
+  std::ostringstream os;
+  rep.print(os, /*json=*/true);
+  EXPECT_EQ(os.str(), R"json({
+  "store": "camp.store",
+  "recovery": {"records": 7, "corrupt_dropped": 1, "tail_truncated": true},
+  "cells": [
+    {"scenario": "paper", "pdr_min": 0.99, "skipped": false, "feasible": false, "best": "[], Star, CSMA, 0dBm", "best_power_mw": null, "best_pdr": 0, "simulations": 12, "store_hits": 0},
+    {"scenario": "paper", "pdr_min": 0.9, "skipped": true, "feasible": true, "best": "[], Star, CSMA, 0dBm", "best_power_mw": 0.30000000000000004, "best_pdr": 0.9375, "simulations": 0, "store_hits": 3}
+  ],
+  "totals": {"cells": 2, "skipped": 1, "fresh_simulations": 12, "store_hits": 3, "stored_evals": 12, "stored_cells": 2}
+}
+)json");
+}
+
+TEST(CampaignReport, PinnedFleetJsonWithZeroShards) {
+  campaign::FleetReport fleet;
+  fleet.shard_dir = "fleet";
+  fleet.merged_path = "fleet/merged.store";
+  fleet.run_id = 42;
+  fleet.workers = 2;
+  fleet.planned_cells = 4;
+  fleet.checkpointed_cells = 1;
+  fleet.wall_s = 0.75;
+  campaign::WorkerReport done;
+  done.slot = 0;
+  done.pid = 101;
+  done.reported = true;
+  done.rows_claimed = 1;
+  done.cells_done = 1;
+  done.fresh_simulations = 8;
+  done.wall_s = 0.5;
+  campaign::WorkerReport killed;
+  killed.slot = 1;
+  killed.pid = 102;
+  killed.term_signal = 9;
+  fleet.worker_reports = {done, killed};
+  EXPECT_EQ(fleet.to_json(), R"json({
+  "shard_dir": "fleet",
+  "merged_store": "fleet/merged.store",
+  "run_id": 42,
+  "workers": 2,
+  "complete": false,
+  "planned_cells": 4,
+  "checkpointed_cells": 1,
+  "wall_s": 0.75,
+  "throughput_cells_per_s": 1.3333333333333333,
+  "worker_reports": [
+    {"slot": 0, "pid": 101, "reported": true, "exit_code": -1, "term_signal": 0, "rows_claimed": 1, "cells_done": 1, "cells_skipped": 0, "fresh_simulations": 8, "store_hits": 0, "steals": 0, "recoveries": 0, "lease_expiries": 0, "wall_s": 0.5},
+    {"slot": 1, "pid": 102, "reported": false, "exit_code": -1, "term_signal": 9, "rows_claimed": 0, "cells_done": 0, "cells_skipped": 0, "fresh_simulations": 0, "store_hits": 0, "steals": 0, "recoveries": 0, "lease_expiries": 0, "wall_s": 0}
+  ],
+  "merge": {"evals": 0, "cells": 0, "frames": 0, "duplicate_evals": 0, "superseded_cells": 0, "clean": true, "shards": []},
+  "totals": {"rows_claimed": 1, "cells_done": 1, "cells_skipped": 0, "fresh_simulations": 8, "store_hits": 0, "steals": 0, "recoveries": 0, "lease_expiries": 0}
+}
+)json");
+}
+
+TEST(Snapshot, PinnedJsonPrintsShortestRoundTrip) {
+  obs::MetricsRegistry reg;
+  reg.counter("dse.simulations").add(3);
+  reg.gauge("x.sum").set(0.1 + 0.2);
+  reg.gauge("x.tenth").set(0.1);
+  reg.histogram("milp.solve_s").observe(0.1 + 0.2);
+  std::ostringstream os;
+  reg.snapshot().write_json(os);
+  EXPECT_EQ(os.str(),
+            R"({"counters": {"dse.simulations": 3}, )"
+            R"("gauges": {"x.sum": 0.30000000000000004, "x.tenth": 0.1}, )"
+            R"("histograms": {"milp.solve_s": {"count": 1, )"
+            R"("sum": 0.30000000000000004, "min": 0.30000000000000004, )"
+            R"("max": 0.30000000000000004, "mean": 0.30000000000000004}}})");
 }
 
 }  // namespace

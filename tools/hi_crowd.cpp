@@ -12,8 +12,6 @@
 //   hi_crowd --dump-scenario            print the default crowd scenario
 //
 // Exit codes: 0 success, 2 usage error.
-#include <array>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -24,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_string.hpp"
 #include "crowd/crowd.hpp"
 #include "store/crowd_codec.hpp"
 #include "store/store.hpp"
@@ -56,14 +55,6 @@ bool parse_int_list(const std::string& list, std::vector<int>& out) {
     out.push_back(static_cast<int>(v));
   }
   return !out.empty();
-}
-
-/// Shortest exact decimal rendering (round-trips through strtod).
-std::string fmt_double(double v) {
-  std::array<char, 40> buf{};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf.data(), end);
 }
 
 /// The default crowd scenario: the paper's full 10-node star network
@@ -219,55 +210,46 @@ int main(int argc, char** argv) {
   const hi::crowd::SweepResult res = hi::crowd::sweep(base, sim, opt);
 
   // ---- hi-crowd/v1 report ------------------------------------------------
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"hi-crowd/v1\",\n";
-  os << "  \"scenario_fp\": \"" << hi::store::crowd_fingerprint(base).hex()
-     << "\",\n";
-  os << "  \"settings\": {\"tsim_s\": " << fmt_double(sim.duration_s)
-     << ", \"runs\": " << opt.runs << ", \"seed\": " << sim.seed
-     << ", \"spacing_m\": " << fmt_double(base.spacing_m)
-     << ", \"capture_db\": " << fmt_double(sim.capture_db) << "},\n";
-  os << "  \"points\": [\n";
-  for (std::size_t i = 0; i < res.points.size(); ++i) {
-    const hi::crowd::SweepPoint& p = res.points[i];
+  hi::JsonWriter w;
+  w.object(hi::JsonWriter::kBlock).field("schema", "hi-crowd/v1");
+  w.field("scenario_fp", hi::store::crowd_fingerprint(base).hex());
+  w.key("settings").object(hi::JsonWriter::kInline);
+  w.field("tsim_s", sim.duration_s).field("runs", opt.runs);
+  w.field("seed", sim.seed).field("spacing_m", base.spacing_m);
+  w.field("capture_db", sim.capture_db).end();
+  w.key("points").array(hi::JsonWriter::kBlock);
+  for (const hi::crowd::SweepPoint& p : res.points) {
     const hi::net::SimResult& d = p.eval.detail;
-    os << "    {\"bodies\": " << p.bodies
-       << ", \"pdr\": " << fmt_double(p.eval.pdr)
-       << ", \"min_body_pdr\": " << fmt_double(d.crowd.min_body_pdr)
-       << ", \"worst_power_mw\": " << fmt_double(p.eval.power_mw)
-       << ", \"mean_power_mw\": " << fmt_double(d.mean_power_mw)
-       << ", \"nlt_s\": " << fmt_double(p.eval.nlt_s)
-       << ", \"cross_offered\": " << d.crowd.cross_offered
-       << ", \"cross_below_sensitivity\": " << d.crowd.cross_below_sensitivity
-       << ", \"foreign_heard\": " << d.crowd.foreign_heard
-       << ", \"foreign_decoded\": " << d.crowd.foreign_decoded
-       << ", \"from_store\": " << (p.from_store ? "true" : "false")
-       << ", \"per_body\": [";
-    for (std::size_t b = 0; b < d.nodes.size(); ++b) {
-      if (b > 0) os << ", ";
-      os << "{\"body\": " << d.nodes[b].location
-         << ", \"pdr\": " << fmt_double(d.nodes[b].pdr)
-         << ", \"worst_power_mw\": " << fmt_double(d.nodes[b].power_mw)
-         << "}";
+    w.object(hi::JsonWriter::kInline).field("bodies", p.bodies);
+    w.field("pdr", p.eval.pdr).field("min_body_pdr", d.crowd.min_body_pdr);
+    w.field("worst_power_mw", p.eval.power_mw);
+    w.field("mean_power_mw", d.mean_power_mw).field("nlt_s", p.eval.nlt_s);
+    w.field("cross_offered", d.crowd.cross_offered);
+    w.field("cross_below_sensitivity", d.crowd.cross_below_sensitivity);
+    w.field("foreign_heard", d.crowd.foreign_heard);
+    w.field("foreign_decoded", d.crowd.foreign_decoded);
+    w.field("from_store", p.from_store);
+    w.key("per_body").array(hi::JsonWriter::kInline);
+    for (const hi::net::NodeResult& n : d.nodes) {
+      w.object(hi::JsonWriter::kInline).field("body", n.location);
+      w.field("pdr", n.pdr).field("worst_power_mw", n.power_mw).end();
     }
-    os << "]}" << (i + 1 < res.points.size() ? ",\n" : "\n");
+    w.end().end();
   }
-  os << "  ],\n";
-  os << "  \"store\": {\"store_hits\": " << res.store_hits
-     << ", \"simulations\": " << res.simulations << "},\n";
-  os << "  \"complete\": true\n";
-  os << "}\n";
+  w.end().key("store").object(hi::JsonWriter::kInline);
+  w.field("store_hits", res.store_hits).field("simulations", res.simulations);
+  w.end().field("complete", true);
+  const std::string report = w.end().take();
 
   if (out_path.empty()) {
-    std::cout << os.str();
+    std::cout << report;
   } else {
     std::ofstream out(out_path);
     if (!out) {
       std::cerr << "hi_crowd: cannot write " << out_path << "\n";
       return 2;
     }
-    out << os.str();
+    out << report;
   }
   return 0;
 }

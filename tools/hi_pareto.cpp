@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -65,25 +64,12 @@ bool parse_pdr_list(const std::string& list, std::vector<double>& out) {
   return !out.empty();
 }
 
-/// Shortest exact decimal rendering (round-trips through strtod).
-std::string fmt_double(double v) {
-  std::array<char, 40> buf{};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf.data(), end);
-}
-
-void emit_point(std::ostream& os, const hi::pareto::FrontPoint& p,
-                const char* indent) {
-  os << indent << "{\"label\": " << hi::json_string(p.cfg.label()) << ", "
-     << "\"design_key\": " << p.cfg.design_key() << ", "
-     << "\"power_mw\": " << fmt_double(p.power_mw) << ", "
-     << "\"pdr\": " << fmt_double(p.pdr) << ", "
-     << "\"p95_s\": " << fmt_double(p.p95_s) << ", "
-     << "\"nlt_s\": " << fmt_double(p.nlt_s) << ", "
-     << "\"pdr_lo\": " << fmt_double(p.pdr_lo) << ", "
-     << "\"pdr_hi\": " << fmt_double(p.pdr_hi) << ", "
-     << "\"protection_mw\": " << fmt_double(p.protection_mw) << "}";
+void emit_point(hi::JsonWriter& w, const hi::pareto::FrontPoint& p) {
+  w.object(hi::JsonWriter::kInline).field("label", p.cfg.label());
+  w.field("design_key", p.cfg.design_key()).field("power_mw", p.power_mw);
+  w.field("pdr", p.pdr).field("p95_s", p.p95_s).field("nlt_s", p.nlt_s);
+  w.field("pdr_lo", p.pdr_lo).field("pdr_hi", p.pdr_hi);
+  w.field("protection_mw", p.protection_mw).end();
 }
 
 int usage(const char* argv0) {
@@ -257,62 +243,49 @@ int main(int argc, char** argv) {
   }
 
   // ---- hi-pareto/v1 report -----------------------------------------------
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"hi-pareto/v1\",\n";
-  os << "  \"mode\": \"" << mode << "\",\n";
   const std::string tag =
       store != nullptr ? store->channel_tag() : std::string("default");
-  os << "  \"scenario_fp\": \""
-     << hi::store::scenario_fingerprint(scenario).hex() << "\",\n";
-  os << "  \"settings_fp\": \""
-     << hi::store::settings_fingerprint(settings, tag).hex() << "\",\n";
-  os << "  \"collect_latency\": " << (collect_latency ? "true" : "false")
-     << ",\n";
-  os << "  \"robust\": {\"gamma\": " << sweep.robust.gamma
-     << ", \"realizations\": " << sweep.robust.realizations
-     << ", \"confidence\": " << fmt_double(sweep.robust.confidence) << "},\n";
-  os << "  \"epsilon\": {\"power_mw\": "
-     << fmt_double(sweep.front.epsilon_power_mw)
-     << ", \"pdr\": " << fmt_double(sweep.front.epsilon_pdr)
-     << ", \"p95_s\": " << fmt_double(sweep.front.epsilon_p95_s) << "},\n";
-  os << "  \"front\": [\n";
-  for (std::size_t i = 0; i < res.front.size(); ++i) {
-    emit_point(os, res.front[i], "    ");
-    os << (i + 1 < res.front.size() ? ",\n" : "\n");
+  hi::JsonWriter w;
+  w.object(hi::JsonWriter::kBlock).field("schema", "hi-pareto/v1");
+  w.field("mode", mode);
+  w.field("scenario_fp", hi::store::scenario_fingerprint(scenario).hex());
+  w.field("settings_fp",
+          hi::store::settings_fingerprint(settings, tag).hex());
+  w.field("collect_latency", collect_latency);
+  w.key("robust").object(hi::JsonWriter::kInline);
+  w.field("gamma", sweep.robust.gamma);
+  w.field("realizations", sweep.robust.realizations);
+  w.field("confidence", sweep.robust.confidence).end();
+  w.key("epsilon").object(hi::JsonWriter::kInline);
+  w.field("power_mw", sweep.front.epsilon_power_mw);
+  w.field("pdr", sweep.front.epsilon_pdr);
+  w.field("p95_s", sweep.front.epsilon_p95_s).end();
+  w.key("front").array(hi::JsonWriter::kBlock);
+  for (const hi::pareto::FrontPoint& p : res.front) emit_point(w, p);
+  w.end().key("rungs").array(hi::JsonWriter::kBlock);
+  for (const hi::pareto::RungResult& rr : res.rungs) {
+    w.object(hi::JsonWriter::kInline).field("pdr_min", rr.pdr_min);
+    w.field("feasible", rr.feasible);
+    if (rr.feasible) emit_point(w.key("best"), rr.best);
+    w.end();
   }
-  os << "  ],\n";
-  os << "  \"rungs\": [\n";
-  for (std::size_t i = 0; i < res.rungs.size(); ++i) {
-    const hi::pareto::RungResult& rr = res.rungs[i];
-    os << "    {\"pdr_min\": " << fmt_double(rr.pdr_min) << ", \"feasible\": "
-       << (rr.feasible ? "true" : "false");
-    if (rr.feasible) {
-      os << ", \"best\": ";
-      emit_point(os, rr.best, "");
-    }
-    os << "}" << (i + 1 < res.rungs.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n";
-  os << "  \"counters\": {\"evaluated\": " << res.evaluated
-     << ", \"simulations\": " << res.simulations
-     << ", \"store_hits\": " << res.store_hits
-     << ", \"milp_rounds\": " << res.milp_rounds
-     << ", \"milp_bnb_nodes\": " << res.milp_bnb_nodes
-     << ", \"preloaded\": " << warm.preloaded << "},\n";
-  os << "  \"complete\": " << (res.complete ? "true" : "false") << ",\n";
-  os << "  \"wall_s\": " << fmt_double(res.wall_time_s) << "\n";
-  os << "}\n";
+  w.end().key("counters").object(hi::JsonWriter::kInline);
+  w.field("evaluated", res.evaluated).field("simulations", res.simulations);
+  w.field("store_hits", res.store_hits).field("milp_rounds", res.milp_rounds);
+  w.field("milp_bnb_nodes", res.milp_bnb_nodes);
+  w.field("preloaded", warm.preloaded).end();
+  w.field("complete", res.complete).field("wall_s", res.wall_time_s);
+  const std::string report = w.end().take();
 
   if (out_path.empty()) {
-    std::cout << os.str();
+    std::cout << report;
   } else {
     std::ofstream out(out_path);
     if (!out) {
       std::cerr << "hi_pareto: cannot write " << out_path << "\n";
       return 2;
     }
-    out << os.str();
+    out << report;
   }
   return 0;
 }
