@@ -19,6 +19,7 @@
 #include "lp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "model/design_space.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -104,21 +105,43 @@ void dse_milp_round(bench::BenchReport& rep, int reps, int rounds) {
                static_cast<std::uint64_t>(rounds), wall);
 }
 
+/// Walks every power level of the paper encoding: solve, cut above P̄*,
+/// repeat until infeasible.  `metrics` (may be null) records the solves.
+void sweep_all_levels(const model::Scenario& scenario,
+                      obs::MetricsRegistry* metrics) {
+  milp::Options opt;
+  opt.metrics = metrics;
+  dse::MilpEncoding enc(scenario);
+  for (;;) {
+    const dse::MilpRound r = enc.run_milp(opt);
+    if (r.status != lp::Status::kOptimal) break;
+    g_sink = g_sink + 1;
+    enc.add_power_cut_above(r.power_mw);
+  }
+}
+
 void dse_milp_all_levels(bench::BenchReport& rep, int reps, int sweeps) {
   const model::Scenario scenario;
   const double wall = bench::time_best_of(reps, [&] {
     for (int i = 0; i < sweeps; ++i) {
-      dse::MilpEncoding enc(scenario);
-      for (;;) {
-        const dse::MilpRound r = enc.run_milp();
-        if (r.status != lp::Status::kOptimal) break;
-        g_sink = g_sink + 1;
-        enc.add_power_cut_above(r.power_mw);
-      }
+      sweep_all_levels(scenario, nullptr);
     }
   });
   rep.add_rate("dse_milp_all_levels", "sweeps/s",
                static_cast<std::uint64_t>(sweeps), wall);
+  // The work behind one sweep, from one extra untimed sweep: exact, so a
+  // change to the LP or branch-and-bound path cannot pass as a speed-up.
+  obs::MetricsRegistry registry;
+  sweep_all_levels(scenario, &registry);
+  const obs::Snapshot snap = registry.snapshot();
+  const std::uint64_t pivots = snap.counter("milp.lp_pivots");
+  const std::uint64_t nodes = snap.counter("milp.bnb_nodes");
+  rep.add(bench::BenchMetric{"dse_milp_all_levels_pivots", "count",
+                             static_cast<double>(pivots), "exact", true,
+                             pivots, 0.0});
+  rep.add(bench::BenchMetric{"dse_milp_all_levels_nodes", "count",
+                             static_cast<double>(nodes), "exact", true, nodes,
+                             0.0});
 }
 
 }  // namespace

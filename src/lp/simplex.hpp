@@ -2,8 +2,9 @@
 //
 // Bounded and free variables are reduced to standard form (shift /
 // mirror / split), upper bounds become explicit rows, and infeasibility
-// is detected with phase-1 artificials.  Bland's pivoting rule is used
-// throughout, so the method terminates on every input (no cycling).
+// is detected with phase-1 artificials.  Pivots follow Dantzig's rule
+// and fall back to Bland's after a stall budget, so the method
+// terminates on every input (no cycling).
 //
 // This solver is exact enough and fast enough for the Human-Intranet DSE
 // MILPs (tens of variables, ~a hundred rows); it is not intended for
@@ -43,7 +44,8 @@ struct SimplexOptions {
   double feas_tol = 1e-7;     ///< phase-1 feasibility tolerance
   int max_iterations = 0;     ///< 0 => automatic (scales with problem size)
   /// Dantzig pivots granted per phase before the anti-cycling Bland
-  /// fallback takes over; 0 => automatic (20 * (rows + columns)).
+  /// fallback takes over; 0 => automatic (20 * (3 * rows + structural
+  /// columns)).
   /// Tests set it to 1 to force the fallback on degenerate problems.
   int dantzig_stall_budget = 0;
 };

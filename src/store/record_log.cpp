@@ -48,21 +48,40 @@ std::vector<char> read_all(int fd) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) {
-  // Table-driven CRC-32 (IEEE, reflected); the table is built once.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8 CRC-32 (IEEE, reflected): table[0] is the classic
+  // byte-at-a-time table and table[k][i] is the CRC of byte i followed by
+  // k zero bytes, so eight lookups advance the register by eight bytes.
+  // The tables are built once.
+  using Table = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Table table = [] {
+    Table t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (char ch : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(ch)) & 0xFF] ^ (c >> 8);
+  const char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_u32(p) ^ c;  // little-endian host
+    const std::uint32_t hi = load_u32(p + 4);
+    c = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+        table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+        table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+        table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = table[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
