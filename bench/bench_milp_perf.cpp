@@ -7,7 +7,10 @@
 //
 // Emits the "hi-bench/v1" JSON report on stdout; progress on stderr.
 // All rate metrics are intensive, so HI_BENCH_QUICK runs remain
-// comparable to full baselines within the wider quick tolerance.
+// comparable to full baselines within the wider quick tolerance.  Quick
+// mode divides the batch sizes by 4 but times each row's batch for at
+// least 250 ms (the fastest batch counts), so every rate row samples
+// enough solves to be steady from one run to the next.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -27,6 +30,13 @@ using namespace hi;
 
 volatile std::uint64_t g_sink = 0;  ///< defeats dead-code elimination
 
+/// How every rate row is timed: the fastest of at least `reps` batches,
+/// and of as many as fit in `min_total_s` (bench::time_best_of).
+struct Timing {
+  int reps;
+  double min_total_s;
+};
+
 /// Random dense-ish LP with n variables and m rows.
 lp::Problem random_lp(int n, int m, std::uint64_t seed) {
   Rng rng(seed);
@@ -45,18 +55,20 @@ lp::Problem random_lp(int n, int m, std::uint64_t seed) {
   return p;
 }
 
-void simplex_solve(bench::BenchReport& rep, int reps, int n, int solves) {
+void simplex_solve(bench::BenchReport& rep, const Timing& t, int n,
+                   int solves) {
   const lp::Problem p = random_lp(n, n, 42);
-  const double wall = bench::time_best_of(reps, [&] {
+  const double wall = bench::time_best_of(t.reps, [&] {
     for (int i = 0; i < solves; ++i) {
       g_sink = g_sink + static_cast<std::uint64_t>(lp::solve_simplex(p).status);
     }
-  });
+  }, t.min_total_s);
   rep.add_rate("simplex_solve_n" + std::to_string(n), "solves/s",
                static_cast<std::uint64_t>(solves), wall);
 }
 
-void milp_knapsack(bench::BenchReport& rep, int reps, int n, int solves) {
+void milp_knapsack(bench::BenchReport& rep, const Timing& t, int n,
+                   int solves) {
   Rng rng(7);
   milp::Model m;
   m.set_objective(lp::Objective::kMaximize);
@@ -66,16 +78,16 @@ void milp_knapsack(bench::BenchReport& rep, int reps, int n, int solves) {
     row.push_back({j, rng.uniform(1.0, 10.0)});
   }
   m.add_constraint(row, lp::Sense::kLessEqual, 2.5 * n);
-  const double wall = bench::time_best_of(reps, [&] {
+  const double wall = bench::time_best_of(t.reps, [&] {
     for (int i = 0; i < solves; ++i) {
       g_sink = g_sink + static_cast<std::uint64_t>(milp::solve(m).status);
     }
-  });
+  }, t.min_total_s);
   rep.add_rate("milp_knapsack_n" + std::to_string(n), "solves/s",
                static_cast<std::uint64_t>(solves), wall);
 }
 
-void milp_pool(bench::BenchReport& rep, int reps, int k, int solves) {
+void milp_pool(bench::BenchReport& rep, const Timing& t, int k, int solves) {
   // k interchangeable binaries, pick exactly 2: C(k,2) alternative optima.
   milp::Model m;
   std::vector<lp::Term> sum;
@@ -84,23 +96,23 @@ void milp_pool(bench::BenchReport& rep, int reps, int k, int solves) {
     sum.push_back({j, 1.0});
   }
   m.add_constraint(sum, lp::Sense::kEqual, 2.0);
-  const double wall = bench::time_best_of(reps, [&] {
+  const double wall = bench::time_best_of(t.reps, [&] {
     for (int i = 0; i < solves; ++i) {
       g_sink = g_sink + milp::solve_all_optimal(m).solutions.size();
     }
-  });
+  }, t.min_total_s);
   rep.add_rate("milp_pool_k" + std::to_string(k), "enumerations/s",
                static_cast<std::uint64_t>(solves), wall);
 }
 
-void dse_milp_round(bench::BenchReport& rep, int reps, int rounds) {
+void dse_milp_round(bench::BenchReport& rep, const Timing& t, int rounds) {
   const model::Scenario scenario;
-  const double wall = bench::time_best_of(reps, [&] {
+  const double wall = bench::time_best_of(t.reps, [&] {
     for (int i = 0; i < rounds; ++i) {
       dse::MilpEncoding enc(scenario);
       g_sink = g_sink + enc.run_milp().candidates.size();
     }
-  });
+  }, t.min_total_s);
   rep.add_rate("dse_milp_round", "rounds/s",
                static_cast<std::uint64_t>(rounds), wall);
 }
@@ -120,13 +132,13 @@ void sweep_all_levels(const model::Scenario& scenario,
   }
 }
 
-void dse_milp_all_levels(bench::BenchReport& rep, int reps, int sweeps) {
+void dse_milp_all_levels(bench::BenchReport& rep, const Timing& t, int sweeps) {
   const model::Scenario scenario;
-  const double wall = bench::time_best_of(reps, [&] {
+  const double wall = bench::time_best_of(t.reps, [&] {
     for (int i = 0; i < sweeps; ++i) {
       sweep_all_levels(scenario, nullptr);
     }
-  });
+  }, t.min_total_s);
   rep.add_rate("dse_milp_all_levels", "sweeps/s",
                static_cast<std::uint64_t>(sweeps), wall);
   // The work behind one sweep, from one extra untimed sweep: exact, so a
@@ -148,22 +160,22 @@ void dse_milp_all_levels(bench::BenchReport& rep, int reps, int sweeps) {
 
 int main() {
   const bool quick = bench::quick_mode();
-  const int reps = quick ? 2 : 3;
+  const Timing t{quick ? 2 : 3, quick ? 0.25 : 0.0};
   const int scale = quick ? 4 : 1;  // divide iteration counts by this
 
   std::cerr << "bench_milp_perf: " << (quick ? "quick" : "full")
             << " (JSON on stdout)\n";
 
   bench::BenchReport rep("milp_perf", bench::experiment_settings());
-  simplex_solve(rep, reps, 10, 400 / scale);
-  simplex_solve(rep, reps, 40, 40 / scale);
-  simplex_solve(rep, reps, 80, 12 / scale);
-  milp_knapsack(rep, reps, 10, 40 / scale);
-  milp_knapsack(rep, reps, 20, 4 / scale);
-  milp_pool(rep, reps, 6, 40 / scale);
-  milp_pool(rep, reps, 10, 8 / scale);
-  dse_milp_round(rep, reps, 20 / scale);
-  dse_milp_all_levels(rep, reps, 4 / scale);
+  simplex_solve(rep, t, 10, 400 / scale);
+  simplex_solve(rep, t, 40, 40 / scale);
+  simplex_solve(rep, t, 80, 12 / scale);
+  milp_knapsack(rep, t, 10, 40 / scale);
+  milp_knapsack(rep, t, 20, 4 / scale);
+  milp_pool(rep, t, 6, 40 / scale);
+  milp_pool(rep, t, 10, 8 / scale);
+  dse_milp_round(rep, t, 20 / scale);
+  dse_milp_all_levels(rep, t, 4 / scale);
 
   rep.write(std::cout);
   return 0;

@@ -67,16 +67,24 @@ inline void banner(const std::string& title,
                "3 runs)\n\n";
 }
 
-/// Wall-clock of `fn()`, best of `reps` repetitions (min, not mean — the
-/// minimum is the least-noise estimate on a shared machine).
+/// Wall-clock of one `fn()` call, the fastest of `reps` calls (min, not
+/// mean — the minimum is the least-noise estimate on a shared machine).
+/// With `min_total_s` > 0 it keeps calling until that long has passed
+/// too, so a short `fn()` is sampled often enough for its minimum to be
+/// steady from one run to the next.
 template <typename F>
-double time_best_of(int reps, F&& fn) {
+double time_best_of(int reps, F&& fn, double min_total_s = 0.0) {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
   double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
+  const Clock::time_point start = Clock::now();
+  for (int r = 0; r < reps || seconds(start, Clock::now()) < min_total_s;
+       ++r) {
+    const Clock::time_point t0 = Clock::now();
     fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    best = std::min(best, seconds(t0, Clock::now()));
   }
   return best;
 }

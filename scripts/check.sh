@@ -172,6 +172,21 @@ crowd_inv=(--list 1,2,3 --tsim 2 --runs 2 --seed 5)
 "${crowd_cli}" "${crowd_inv[@]}" --threads 3 --out "${fuzz_dir}/crowd-t3.json"
 "${crowd_cli}" "${crowd_inv[@]}" --threads 0 --out "${fuzz_dir}/crowd-t0.json"
 cmp "${fuzz_dir}/crowd-t3.json" "${fuzz_dir}/crowd-t0.json"
+# The same at the robust DSE batch engine: K = 3 channel realizations on
+# three workers (one pool for every realization) must write the same
+# store bytes, in the same order, and the same report up to its wall
+# clock as the serial run.
+echo "==> robust DSE thread invariance (ASan CLI)"
+robust_inv=(--gen-seed 7 --realizations 3 --gamma 1 --tsim 2 --runs 2)
+for t in 3 0; do
+  "${pareto_cli}" "${robust_inv[@]}" --threads "${t}" \
+       --store "${fuzz_dir}/robust-t${t}.store" \
+       --out "${fuzz_dir}/robust-t${t}.json"
+  sed -E 's/"wall_s": [^,}]*/"wall_s": 0/' "${fuzz_dir}/robust-t${t}.json" \
+      > "${fuzz_dir}/robust-t${t}-masked.json"
+done
+cmp "${fuzz_dir}/robust-t3.store" "${fuzz_dir}/robust-t0.store"
+cmp "${fuzz_dir}/robust-t3-masked.json" "${fuzz_dir}/robust-t0-masked.json"
 
 # Every document the smoke steps wrote, and each CLI's --dump-scenario,
 # must be strict JSON (no NaN / Infinity, no trailing garbage).

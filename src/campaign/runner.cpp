@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -78,9 +79,26 @@ class Worker {
                                           slot, cfg.lease_ms, &metrics_);
   }
 
-  int run(int report_fd) {
+  /// `ready_fd` / `go_fd` are this worker's ends of the start barrier
+  /// (see run_fleet); run() closes both.
+  int run(int report_fd, int ready_fd, int go_fd) {
     const Clock::time_point t0 = Clock::now();
     start_renewal();
+    // Claim the home row (row index == slot) before the start barrier,
+    // so the first split of rows does not depend on which worker the
+    // OS happened to start first.
+    const std::size_t home = static_cast<std::size_t>(slot_);
+    const bool own_home =
+        home < plan_.rows().size() &&
+        claimed(board_->try_claim(plan_.row_token(home), cfg_.steal));
+    ::close(ready_fd);  // arrived
+    char byte = 0;
+    while (::read(go_fd, &byte, 1) < 0 && errno == EINTR) {
+    }
+    ::close(go_fd);  // released: the parent closed its end
+    if (own_home) {
+      finish_row(home);
+    }
     dispatch_loop();
     stop_renewal();
     shard_->sync();
@@ -126,9 +144,7 @@ class Worker {
           continue;
         }
         claimed_any = true;
-        run_row(i);
-        board_->mark_done(token);
-        board_->release(token);
+        finish_row(i);
       }
       if (!any_held) {
         return;  // every row is done
@@ -144,6 +160,18 @@ class Worker {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(std::min(cfg_.lease_ms / 4, 100)));
     }
+  }
+
+  static bool claimed(ClaimOutcome oc) {
+    return oc != ClaimOutcome::kHeld && oc != ClaimOutcome::kDone;
+  }
+
+  /// Runs a claimed row, marks it done and releases the claim.
+  void finish_row(std::size_t row_index) {
+    const std::string token = plan_.row_token(row_index);
+    run_row(row_index);
+    board_->mark_done(token);
+    board_->release(token);
   }
 
   /// Runs every not-yet-checkpointed cell of one claimed row.
@@ -378,6 +406,15 @@ FleetReport run_fleet(const CampaignPlan& plan, const RunConfig& cfg,
   const Clock::time_point t0 = Clock::now();
   const std::uint64_t run_id = make_run_id();
 
+  // The start barrier is two pipes.  A worker closes its copy of
+  // ready's write end once it holds its home row, then blocks reading
+  // go.  The parent waits until every worker has arrived (or died),
+  // bounded by the lease, then closes go's write end to release them.
+  int ready[2];
+  int go[2];
+  HI_REQUIRE(::pipe(ready) == 0 && ::pipe(go) == 0,
+             "start barrier pipe failed: " << std::strerror(errno));
+
   // Fork the fleet.  The parent is single-threaded here, so each child
   // starts from a clean slate (its renewal thread is created post-fork).
   std::vector<pid_t> pids(static_cast<std::size_t>(cfg.workers), -1);
@@ -392,6 +429,8 @@ FleetReport run_fleet(const CampaignPlan& plan, const RunConfig& cfg,
       // Child: drop the parent ends, run the worker, never return.
       ::signal(SIGPIPE, SIG_IGN);  // a dead parent must not kill the work
       ::close(fds[0]);
+      ::close(ready[0]);
+      ::close(go[1]);
       for (int f : report_fds) {
         if (f >= 0) {
           ::close(f);
@@ -400,7 +439,7 @@ FleetReport run_fleet(const CampaignPlan& plan, const RunConfig& cfg,
       int code = 1;
       try {
         Worker worker(plan, cfg, slot, run_id);
-        code = worker.run(fds[1]);
+        code = worker.run(fds[1], ready[1], go[0]);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "worker %d: %s\n", slot, e.what());
       }
@@ -414,6 +453,23 @@ FleetReport run_fleet(const CampaignPlan& plan, const RunConfig& cfg,
     std::ofstream pidf(worker_pid_path(cfg.shard_dir, slot));
     pidf << pid << "\n";
   }
+  ::close(ready[1]);
+  ::close(go[0]);
+  // Nothing is ever written to `ready`: it polls readable (hang-up) once
+  // every worker has closed its write end.
+  const Clock::time_point barrier_end =
+      Clock::now() + std::chrono::milliseconds(cfg.lease_ms);
+  int polled = 0;
+  do {
+    const long long left_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(barrier_end -
+                                                              Clock::now())
+            .count();
+    pollfd pfd{ready[0], POLLIN, 0};
+    polled = ::poll(&pfd, 1, static_cast<int>(std::max(0LL, left_ms)));
+  } while (polled < 0 && errno == EINTR);
+  ::close(ready[0]);
+  ::close(go[1]);
 
   // Reap promptly and in any order: a SIGKILLed worker must turn into
   // ESRCH fast so the survivors' pid-death staleness check fires before

@@ -21,7 +21,12 @@
 // scenario), not single cells — the cells of a row share one
 // warm-started evaluator, so running them in sequence on one worker is
 // what keeps the fleet's total fresh-simulation count equal to a cold
-// single-process run.  Before running a claimed row, a worker rescans
+// single-process run.  Each worker first claims its home row (row index
+// == slot, if there is one) and then waits at a start barrier until
+// every worker has done so (or died), bounded by the lease; only then
+// does any row run.  So the first split of rows is one per worker by
+// slot, whatever the start order, and the later claims are the
+// work-stealing scan.  Before running a claimed row, a worker rescans
 // every *other* shard read-only: evaluations are preloaded (a stolen
 // row reuses everything its dead owner paid for) and checkpointed
 // cells are skipped, so a steal/recovery re-simulates nothing that is

@@ -453,11 +453,10 @@ std::vector<std::string> check_thread_determinism(const ScenarioSpec& spec,
                                                   int threads) {
   std::vector<std::string> out;
   const auto run_at = [&](int t) {
-    dse::EvaluatorSettings s = spec.settings;
-    s.threads = t;
-    dse::Evaluator eval(s);
+    dse::Evaluator eval(spec.settings);
     dse::ExplorationOptions opt;
     opt.pdr_min = 0.8;
+    opt.threads = t;
     return dse::run_exhaustive(spec.scenario, eval, opt);
   };
   const dse::ExplorationResult serial = run_at(0);
@@ -766,11 +765,10 @@ std::vector<std::string> check_robust_thread_determinism(
     const dse::RobustnessOptions& robust) {
   std::vector<std::string> out;
   const auto run_at = [&](int t) {
-    dse::EvaluatorSettings s = spec.settings;
-    s.threads = t;
-    dse::Evaluator eval(s);
+    dse::Evaluator eval(spec.settings);
     dse::ExplorationOptions opt;
     opt.pdr_min = 0.8;
+    opt.threads = t;
     opt.robust = robust;
     return dse::run_exhaustive(spec.scenario, eval, opt);
   };

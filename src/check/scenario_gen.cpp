@@ -125,7 +125,6 @@ ScenarioSpec make_scenario(std::uint64_t seed, int shrink_level) {
   spec.settings.sim.gen_guard_s = 0.25;
   spec.settings.sim.seed = rng.next_u64();
   spec.settings.runs = 1;
-  spec.settings.threads = 0;
 
   // Requested shrink first, then auto-shrink until the exhaustive ground
   // set fits the fuzz budget.  Both are deterministic in (seed, shrink).

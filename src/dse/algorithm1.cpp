@@ -39,7 +39,7 @@ ExplorationResult run_algorithm1(const model::Scenario& scenario,
   HI_REQUIRE(!opt.robust.active() || !opt.use_alpha_termination ||
                  opt.bound == TerminationBound::kSoundFloor,
              "robust Algorithm 1 supports only the kSoundFloor bound");
-  LevelWalk walk(scenario, eval, scope.threads(), opt.robust, {opt.pdr_min});
+  LevelWalk walk(scenario, eval, opt.threads, opt.robust, {opt.pdr_min});
   ExplorationResult res;
 
   LevelWalk::Rules rules;

@@ -95,7 +95,7 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
              "temperatures must satisfy t_start >= t_end > 0");
   detail::RunScope scope(ExplorerKind::kAnnealing, eval, opt);
   Rng rng(opt.seed);
-  RobustBatch batch(eval, scope.threads(), opt.robust);
+  RobustBatch batch(eval, opt.threads, opt.robust);
 
   const auto energy = [&](double pdr, double power_mw) {
     const double shortfall = std::max(0.0, opt.pdr_min - pdr);

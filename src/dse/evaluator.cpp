@@ -19,8 +19,6 @@ Evaluator::Evaluator(EvaluatorSettings settings)
     : settings_(std::move(settings)) {
   HI_REQUIRE(settings_.runs >= 1, "need at least one replication");
   HI_REQUIRE(settings_.channel != nullptr, "channel factory required");
-  HI_REQUIRE(settings_.threads >= 0, "threads must be >= 0 (0 = serial), got "
-                                         << settings_.threads);
   set_metrics(settings_.metrics);
 }
 

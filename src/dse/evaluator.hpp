@@ -9,14 +9,14 @@
 //
 // Concurrency: the Evaluator itself is NOT thread-safe — all cache and
 // counter updates go through the single-threaded admit() path.  Parallel
-// evaluation is layered on top by hi::exec::BatchEvaluator, which fans
-// the pure simulate_uncached() out across workers and then replays
-// admit() serially in request order, making parallel results (metrics,
-// incumbents, and both counters) bit-identical to a serial run.  That
-// works because a design point's randomness is seeded from its
-// design_key() and all design points share one channel-realization root
-// (common random numbers): what a simulation returns never depends on
-// which thread ran it or when.
+// evaluation is layered on top by dse::RobustBatch (dse/robustness.hpp),
+// which fans the pure simulate_uncached() out across workers and then
+// replays admit() serially in request order, making parallel results
+// (metrics, incumbents, and both counters) bit-identical to a serial
+// run.  That works because a design point's randomness is seeded from
+// its design_key() and all design points share one channel-realization
+// root (common random numbers): what a simulation returns never depends
+// on which thread ran it or when.
 //
 // Durability is layered on top the same way (hi::store, DESIGN.md §10):
 // preload() seeds the cache with results a previous process already
@@ -69,13 +69,6 @@ struct EvaluatorSettings {
   net::SimParams sim{};  ///< Tsim etc.; seed is the experiment's root seed
   int runs = 3;          ///< replications averaged per design point
   net::ChannelFactory channel = net::default_channel_factory();
-  /// Worker threads the explorers may use to batch-evaluate candidates
-  /// through hi::exec::BatchEvaluator.  0 = serial (the default,
-  /// preserving every existing call site).  Any value yields
-  /// bit-identical results and counters; see the file comment.
-  /// Deprecated in favour of ExplorationOptions::threads (dse/explorer.hpp),
-  /// which overrides this when >= 0; kept as the evaluator-wide default.
-  int threads = 0;
   /// Observability registry (null = not observed).  The evaluator
   /// records `dse.simulations` / `dse.cache_hits` counters — mirroring
   /// simulations()/cache_hits() exactly — the `dse.simulate_s` timing
@@ -97,7 +90,7 @@ class Evaluator {
   /// whole lifetime of the Evaluator, across any number of subsequent
   /// evaluate() calls.  Callers depend on this — simulated annealing
   /// holds the current state's Evaluation while evaluating neighbours,
-  /// and BatchEvaluator returns pointers into the cache — and it is only
+  /// and RobustBatch folds pointers into the cache — and it is only
   /// safe because std::unordered_map is node-based: rehashing reseats
   /// buckets but never moves or invalidates elements
   /// ([unord.req.general]).  Do not swap the cache for an
@@ -146,7 +139,7 @@ class Evaluator {
   /// stored canonical config, so a 64-bit design_key() collision fails
   /// loudly instead of silently aliasing two design points), and on a
   /// miss inserts `*precomputed` if non-null — else simulates in place.
-  /// BatchEvaluator calls this in the caller's request order after its
+  /// RobustBatch calls this in the caller's request order after its
   /// parallel compute phase; that replay is what makes the parallel
   /// counters bit-identical to serial.
   ///
@@ -288,7 +281,7 @@ class Evaluator {
   /// the old one afterwards.  Realization children follow along, so one
   /// install covers the whole robust evaluator tree.  Must not be called
   /// while a batch evaluation is in flight (same rule as using the
-  /// evaluator directly; see exec::BatchEvaluator).
+  /// evaluator directly; see dse::RobustBatch).
   obs::MetricsRegistry* set_metrics(obs::MetricsRegistry* m) {
     obs::MetricsRegistry* prev = metrics_;
     metrics_ = m;

@@ -26,16 +26,16 @@ ExplorationResult run_exhaustive(const model::Scenario& scenario,
   detail::RunScope scope(ExplorerKind::kExhaustive, eval, opt);
 
   const std::vector<model::NetworkConfig> space = scenario.feasible_configs();
-  const int threads = scope.threads();
-  RobustBatch batch(eval, threads, opt.robust);
+  RobustBatch batch(eval, opt.threads, opt.robust);
   // Sweep the design space in chunks: wide enough to keep every worker
   // busy, small enough to bound the in-flight result memory.  Chunking
   // cannot change any outcome — results are committed in request order
-  // either way (see exec::BatchEvaluator).
+  // either way (see dse::RobustBatch).
   const std::size_t chunk =
-      threads > 0 ? std::max<std::size_t>(8 * static_cast<std::size_t>(threads),
-                                          32)
-                  : space.size();
+      opt.threads > 0
+          ? std::max<std::size_t>(8 * static_cast<std::size_t>(opt.threads),
+                                  32)
+          : space.size();
 
   ExplorationResult res;
   for (std::size_t begin = 0; begin < space.size(); begin += chunk) {

@@ -55,10 +55,8 @@ RunScope::RunScope(ExplorerKind kind, Evaluator& eval,
     : kind_(kind), eval_(eval), opt_(opt) {
   HI_REQUIRE(opt.pdr_min >= 0.0 && opt.pdr_min <= 1.0,
              "pdr_min must be in [0,1], got " << opt.pdr_min);
-  HI_REQUIRE(opt.threads >= -1,
-             "threads must be >= -1 (-1 = inherit the evaluator's), got "
-                 << opt.threads);
-  threads_ = opt.threads >= 0 ? opt.threads : eval.settings().threads;
+  HI_REQUIRE(opt.threads >= 0,
+             "threads must be >= 0 (0 = serial), got " << opt.threads);
 
   registry_ = opt.metrics != nullptr ? opt.metrics : eval.metrics();
   if (registry_ == nullptr) {

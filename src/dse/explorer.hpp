@@ -92,10 +92,10 @@ struct ExplorationOptions {
   /// search always sweeps the whole space and ignores it.
   int budget = -1;
 
-  /// Worker threads for batch evaluation (hi::exec::BatchEvaluator).
-  /// -1 inherits EvaluatorSettings::threads, 0 forces serial.  Results,
-  /// incumbents, and all counters are bit-identical at any value.
-  int threads = -1;
+  /// Worker threads of the run's RobustBatch pool (0 = serial, the
+  /// default; negative is rejected).  Results, incumbents, and the
+  /// dse.* counters are bit-identical at any value.
+  int threads = 0;
 
   /// Randomness of the annealer's moves and acceptance (the other
   /// strategies are deterministic and ignore it).
@@ -223,9 +223,6 @@ class RunScope {
   /// The registry this run records into; never null.
   [[nodiscard]] obs::MetricsRegistry& registry() const { return *registry_; }
 
-  /// Resolved worker-thread count (options override, else evaluator).
-  [[nodiscard]] int threads() const { return threads_; }
-
   /// Invokes the caller's progress callback (no-op when unset).
   void progress(int iteration, const ExplorationResult& res) const;
 
@@ -242,7 +239,6 @@ class RunScope {
   bool installed_ = false;
   obs::Snapshot start_;
   std::uint64_t sims0_ = 0;
-  int threads_ = 0;
   double t0_s_ = 0.0;  ///< steady-clock start, in seconds
 };
 

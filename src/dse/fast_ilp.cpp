@@ -29,7 +29,7 @@ ExplorationResult run_fast_ilp(const model::Scenario& scenario,
   detail::RunScope scope(ExplorerKind::kFastIlp, eval, opt);
   HI_REQUIRE(opt.fast_ilp_patience >= 1,
              "fast_ilp_patience must be >= 1, got " << opt.fast_ilp_patience);
-  LevelWalk walk(scenario, eval, scope.threads(), opt.robust, {});
+  LevelWalk walk(scenario, eval, opt.threads, opt.robust, {});
   ExplorationResult res;
   int stale_levels = 0;  // levels since the incumbent last improved
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <optional>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "model/power.hpp"
+#include "obs/timer.hpp"
 
 namespace hi::dse {
 
@@ -118,35 +122,93 @@ RobustBatch::RobustBatch(Evaluator& eval, int threads,
                          RobustnessOptions robust)
     : eval_(eval), robust_(robust.active() ? robust : RobustnessOptions{}) {
   require_valid(robust_);
-  HI_REQUIRE(threads >= 0, "threads must be >= 0, got " << threads);
-  batches_.reserve(static_cast<std::size_t>(robust_.realizations));
+  HI_REQUIRE(threads >= 0,
+             "threads must be >= 0 (0 = serial), got " << threads);
   for (int k = 0; k < robust_.realizations; ++k) {
-    batches_.push_back(
-        std::make_unique<exec::BatchEvaluator>(eval_.realization(k), threads));
+    realizations_.push_back(&eval_.realization(k));
+  }
+  if (threads > 0) {
+    pool_ = std::make_unique<exec::ThreadPool>(threads);
   }
 }
 
 std::vector<RobustEvaluation> RobustBatch::evaluate(
     const std::vector<model::NetworkConfig>& cfgs) {
-  const int k_count = robust_.realizations;
-  // Realization 0 first: the nominal evaluator sees the exact request
-  // stream a non-robust run would issue, keeping its counters and cache
-  // evolution aligned with the legacy path.
-  std::vector<std::vector<const Evaluation*>> per_k;
-  per_k.reserve(static_cast<std::size_t>(k_count));
-  for (int k = 0; k < k_count; ++k) {
-    per_k.push_back(batches_[static_cast<std::size_t>(k)]->evaluate(cfgs));
+  const std::size_t k_count = realizations_.size();
+  // Resolved per call: explorers install a per-run registry into the
+  // evaluator (see dse::detail::RunScope).  exec.* totals describe the
+  // schedule (the serial path schedules no tasks) and are deliberately
+  // not part of the bit-identical contract; dse.* / net.* are.
+  obs::MetricsRegistry* metrics = eval_.metrics();
+  obs::ScopedTimer timer(metrics, "exec.batch_s");
+  if (metrics != nullptr) {
+    metrics->counter("exec.batches").add(1);
+    metrics->counter("exec.requests").add(k_count * cfgs.size());
   }
-  if (obs::MetricsRegistry* m = eval_.metrics(); m != nullptr) {
-    m->counter("dse.realizations")
-        .add(static_cast<std::uint64_t>(k_count) * cfgs.size());
+
+  // ---- schedule: every (realization, design point) miss, one pool ----
+  // On the serial path nothing is scheduled and commit simulates inline.
+  using Tasks = std::unordered_map<std::uint64_t, std::future<Evaluation>>;
+  std::vector<Tasks> tasks(k_count);
+  for (std::size_t k = 0; pool_ != nullptr && k < k_count; ++k) {
+    const Evaluator& ev = *realizations_[k];
+    for (const model::NetworkConfig& cfg : cfgs) {
+      const std::uint64_t key = cfg.design_key();
+      if (tasks[k].contains(key) || ev.cached(cfg)) {
+        continue;
+      }
+      tasks[k].emplace(key, pool_->submit([&ev, cfg] {
+        return ev.simulate_uncached(cfg);
+      }));
+      if (metrics != nullptr) {
+        metrics->counter("exec.tasks_scheduled").add(1);
+      }
+    }
+  }
+
+  // ---- wait: failed tasks too, so no task still runs (and records into
+  // the run's registry) once commit rethrows a failure ----------------
+  for (const Tasks& per_k : tasks) {
+    for (const auto& [key, fut] : per_k) {
+      fut.wait();
+    }
+  }
+
+  // ---- commit: the serial bookkeeping, realization-major -------------
+  std::vector<std::vector<const Evaluation*>> per_k(k_count);
+  for (std::size_t k = 0; k < k_count; ++k) {
+    Evaluator& ev = *realizations_[k];
+    per_k[k].reserve(cfgs.size());
+    for (const model::NetworkConfig& cfg : cfgs) {
+      const auto it = tasks[k].find(cfg.design_key());
+      if (it == tasks[k].end() || ev.cached(cfg)) {
+        // Serial path, cached before this call, or committed earlier in
+        // this loop: the plain evaluate (inline simulation or hit).
+        per_k[k].push_back(&ev.evaluate(cfg));
+        continue;
+      }
+      std::optional<Evaluation> computed;
+      try {
+        computed = it->second.get();
+      } catch (...) {
+        // The worker's simulation failed: reproduce it serially below.
+        // simulate_uncached is pure, so admit() throws the same
+        // exception after the same counter updates a serial run makes.
+      }
+      per_k[k].push_back(
+          &ev.admit(cfg, computed.has_value() ? &*computed : nullptr));
+    }
+  }
+
+  if (metrics != nullptr) {
+    metrics->counter("dse.realizations").add(k_count * cfgs.size());
   }
   std::vector<RobustEvaluation> out;
   out.reserve(cfgs.size());
-  std::vector<const Evaluation*> per(static_cast<std::size_t>(k_count));
+  std::vector<const Evaluation*> per(k_count);
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    for (int k = 0; k < k_count; ++k) {
-      per[static_cast<std::size_t>(k)] = per_k[static_cast<std::size_t>(k)][i];
+    for (std::size_t k = 0; k < k_count; ++k) {
+      per[k] = per_k[k][i];
     }
     out.push_back(aggregate_robust(cfgs[i], per, robust_));
   }

@@ -19,12 +19,35 @@
 //    protection is added to the measured worst-case power, making the
 //    robust objective  max_k P_k + protection(Γ)  — monotone in Γ.
 //
-// RobustBatch is the RunSim of every explorer and sweep: it fans a
-// candidate batch across the K realization evaluators (each through its
-// own exec::BatchEvaluator, realization 0 first, so the nominal
-// evaluator sees the same request order — and counters — at any K and
-// any thread count) and folds the per-realization results into
-// RobustEvaluations.  K = 1, Γ = 0 is the nominal run.
+// RobustBatch is the RunSim of every explorer and sweep, and the one
+// batch engine: it evaluates a candidate batch under the K realization
+// evaluators and folds the per-realization results into
+// RobustEvaluations.  K = 1, Γ = 0 is the nominal run.  A call runs in
+// three steps:
+//
+//   schedule — walk realization k = 0 .. K−1 and, within it, the batch
+//              in request order; every design point that is neither
+//              cached nor already scheduled in this call goes to the
+//              pool as Evaluator::simulate_uncached (pure — no shared
+//              state).  All K·n misses share one pool.
+//   wait     — block until every scheduled task has finished, failed
+//              ones included.
+//   commit   — replay Evaluator::admit() for realization 0, then 1, …,
+//              K−1, each in request order, installing the computed
+//              results.
+//
+// A design point's randomness is seeded from its design_key() and all
+// design points of one realization share its channel root (common
+// random numbers), so what a task returns never depends on the thread
+// that ran it.  Because commit replays the exact serial bookkeeping in
+// the serial order, optima, histories, the dse.* counters and the
+// store's write-through order are bit-identical at any K and any
+// thread count; the net.* / des.* counters are atomic sums.  A failed
+// task is reproduced serially at commit (admit(cfg, nullptr)), so the
+// caller sees the exception a serial run would have seen, after the
+// same counter and cache updates, and nothing is cached for it.
+// threads == 0 is the serial path: no pool, each realization evaluated
+// inline in request order.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +56,7 @@
 
 #include "dse/evaluator.hpp"
 #include "dse/exploration.hpp"
-#include "exec/batch_evaluator.hpp"
+#include "exec/thread_pool.hpp"
 #include "model/config.hpp"
 
 namespace hi::dse {
@@ -90,20 +113,21 @@ struct RobustEvaluation {
 [[nodiscard]] CandidateRecord robust_record(const model::NetworkConfig& cfg,
                                             const RobustEvaluation& rev);
 
-/// See file comment.  Holds one BatchEvaluator per realization (so K
-/// pools of `threads` workers when threads >= 1 — sized for the K <= 8
-/// regime the CLI exposes); the evaluator must outlive the batch and
-/// must not be used directly while a call is in flight.  Inactive
-/// options are replaced by the defaults (K = 1, Γ = 0): the nominal fold
-/// every explorer and sweep evaluates through.
+/// See file comment.  Owns one pool of `threads` workers when
+/// threads >= 1, shared by all K realizations.  The evaluator must
+/// outlive the batch and must not be used directly while a call is in
+/// flight.  Inactive options are replaced by the defaults (K = 1, Γ = 0): the
+/// nominal fold every explorer and sweep evaluates through.
 class RobustBatch {
  public:
   RobustBatch(Evaluator& eval, int threads, RobustnessOptions robust);
 
   /// Evaluates every configuration under all K realizations and returns
-  /// the folded results, aligned with `cfgs`.  Records the
-  /// `dse.realizations` counter (K per design point requested) on the
-  /// evaluator's active registry.  Bit-identical at any thread count.
+  /// the folded results, aligned with `cfgs`.  Records on the
+  /// evaluator's active registry: `dse.realizations` (K per design
+  /// point requested), `exec.requests` (likewise), `exec.batches` and
+  /// one `exec.batch_s` observation per call, and `exec.tasks_scheduled`
+  /// per pool task.  Bit-identical at any thread count.
   [[nodiscard]] std::vector<RobustEvaluation> evaluate(
       const std::vector<model::NetworkConfig>& cfgs);
 
@@ -115,8 +139,9 @@ class RobustBatch {
  private:
   Evaluator& eval_;
   RobustnessOptions robust_;
-  /// One batch engine per realization, index k over eval_.realization(k).
-  std::vector<std::unique_ptr<exec::BatchEvaluator>> batches_;
+  /// Index k holds eval_.realization(k), resolved at construction.
+  std::vector<Evaluator*> realizations_;
+  std::unique_ptr<exec::ThreadPool> pool_;  ///< null on the serial path
 };
 
 }  // namespace hi::dse

@@ -4,8 +4,9 @@
 // N workers drain one FIFO task queue.  submit() returns a std::future
 // carrying the task's result or its exception; shutdown is graceful: the
 // destructor finishes every task already queued, then joins the workers.
-// BatchEvaluator uses it to fan RunSim calls out across cores, but the
-// pool is deliberately generic (any callable, any result type).
+// dse::RobustBatch fans RunSim calls out across cores with it and
+// crowd::sweep its (point, replication) runs; the pool itself is
+// generic (any callable, any result type).
 #pragma once
 
 #include <condition_variable>

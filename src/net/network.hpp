@@ -123,8 +123,8 @@ struct SimResult {
                                  const SimParams& params);
 
 /// Produces a fresh channel for a run; receives the run's seed.
-/// When an Evaluator is used through hi::exec::BatchEvaluator, the
-/// factory is invoked concurrently from worker threads: a replacement
+/// When an Evaluator is used through dse::RobustBatch with threads > 0,
+/// the factory is invoked concurrently from worker threads: a replacement
 /// factory must tolerate that (be stateless or internally synchronized).
 /// The default factory is stateless.
 using ChannelFactory =

@@ -54,7 +54,7 @@ struct SweepOptions {
   std::vector<double> pdr_ladder = {0.50, 0.60, 0.70, 0.80,
                                     0.90, 0.95, 0.99};
   /// Worker threads for batch evaluation (0 = serial; results are
-  /// bit-identical at any value, see exec::BatchEvaluator).
+  /// bit-identical at any value, see dse::RobustBatch).
   int threads = 0;
   /// Γ / K / confidence; inactive by default (see file comment).
   dse::RobustnessOptions robust{};

@@ -88,8 +88,8 @@ TEST(Evaluator, EvaluationCarriesConsistentMetrics) {
 
 TEST(Evaluator, ReturnedReferencesAreStableAcrossLaterEvaluations) {
   // Documented contract (evaluator.hpp): annealing holds an Evaluation
-  // reference across subsequent evaluate() calls, and BatchEvaluator
-  // returns pointers into the cache.  Safe only because the cache is a
+  // reference across subsequent evaluate() calls, and RobustBatch
+  // folds pointers into the cache.  Safe only because the cache is a
   // node-based std::unordered_map — pin it with enough insertions to
   // force several rehashes.
   Evaluator ev(fast_settings());
@@ -112,9 +112,6 @@ TEST(Evaluator, RejectsBadSettings) {
   EXPECT_THROW(Evaluator{s}, ModelError);
   s = fast_settings();
   s.channel = nullptr;
-  EXPECT_THROW(Evaluator{s}, ModelError);
-  s = fast_settings();
-  s.threads = -1;
   EXPECT_THROW(Evaluator{s}, ModelError);
 }
 

@@ -4,7 +4,7 @@
 // counters, and the same candidate history in the same order.  The
 // mechanism under test: seeds derive from design_key(), all design
 // points share one channel-realization root (common random numbers),
-// and BatchEvaluator commits results in request order.
+// and dse::RobustBatch commits results in request order.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -16,12 +16,11 @@
 namespace hi::dse {
 namespace {
 
-EvaluatorSettings fast_settings(int threads) {
+EvaluatorSettings fast_settings() {
   EvaluatorSettings s;
   s.sim.duration_s = 4.0;
   s.sim.seed = 2017;
   s.runs = 2;
-  s.threads = threads;
   return s;
 }
 
@@ -69,10 +68,11 @@ void expect_identical(const RunFingerprint& serial, const RunFingerprint& par,
 }
 
 RunFingerprint exhaustive_at(int threads) {
-  Evaluator eval(fast_settings(threads));
+  Evaluator eval(fast_settings());
   RunFingerprint fp;
   ExplorationOptions opt;
   opt.pdr_min = 0.9;
+  opt.threads = threads;
   fp.result = run_exhaustive(small_scenario(), eval, opt);
   fp.simulations = eval.simulations();
   fp.cache_hits = eval.cache_hits();
@@ -80,10 +80,10 @@ RunFingerprint exhaustive_at(int threads) {
 }
 
 RunFingerprint algorithm1_at(int threads) {
-  Evaluator eval(fast_settings(/*threads=*/0));
+  Evaluator eval(fast_settings());
   ExplorationOptions opt;
   opt.pdr_min = 0.9;
-  opt.threads = threads;  // explicit knob overrides the settings
+  opt.threads = threads;
   RunFingerprint fp;
   fp.result = run_algorithm1(small_scenario(), eval, opt);
   fp.simulations = eval.simulations();
@@ -124,21 +124,6 @@ TEST(ExecDeterminism, GeneratedScenariosAreThreadCountInvariant) {
       }
     }
   }
-}
-
-TEST(ExecDeterminism, Algorithm1InheritsEvaluatorThreads) {
-  // threads = -1 (default) takes EvaluatorSettings::threads; results are
-  // still identical to the fully serial run.
-  const RunFingerprint serial = algorithm1_at(0);
-  Evaluator eval(fast_settings(/*threads=*/4));
-  ExplorationOptions opt;
-  opt.pdr_min = 0.9;
-  ASSERT_EQ(opt.threads, -1);
-  RunFingerprint inherited;
-  inherited.result = run_algorithm1(small_scenario(), eval, opt);
-  inherited.simulations = eval.simulations();
-  inherited.cache_hits = eval.cache_hits();
-  expect_identical(serial, inherited, 4);
 }
 
 }  // namespace

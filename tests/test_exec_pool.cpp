@@ -1,19 +1,25 @@
 // Unit tests for the hi::exec execution substrate: ThreadPool semantics
 // (completion-order independence, exception propagation, graceful
-// shutdown with queued work) and BatchEvaluator's in-flight dedup.
+// shutdown with queued work), and dse::RobustBatch, the batch engine that
+// runs RunSim on it: one pool for all K realizations, in-batch dedup,
+// serial-identical results and counters, serial error reproduction.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "exec/batch_evaluator.hpp"
+#include "dse/explorer.hpp"
+#include "dse/robustness.hpp"
 #include "exec/thread_pool.hpp"
 #include "model/design_space.hpp"
+#include "obs/metrics.hpp"
 
 namespace hi::exec {
 namespace {
@@ -70,20 +76,31 @@ TEST(ThreadPool, ShutdownDrainsQueuedWork) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchEvaluator
+// dse::RobustBatch — the batch engine that runs on the pool
 
-/// Settings whose channel factory counts invocations: with runs == 1,
-/// one factory call == one simulation actually executed (as opposed to
-/// the evaluator's simulations() counter, which counts *requests*).
-dse::EvaluatorSettings counting_settings(
-    std::shared_ptr<std::atomic<int>> channels) {
+/// What the channel factory saw: with runs == 1, one factory call == one
+/// simulation actually executed (as opposed to the evaluator's
+/// simulations() counter, which counts *requests*), made on the thread
+/// that ran it.
+struct ChannelProbe {
+  std::atomic<int> calls{0};
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+};
+
+dse::EvaluatorSettings probed_settings(std::shared_ptr<ChannelProbe> probe,
+                                       double duration_s = 5.0) {
   dse::EvaluatorSettings s;
-  s.sim.duration_s = 5.0;
+  s.sim.duration_s = duration_s;
   s.sim.seed = 99;
   s.runs = 1;
   net::ChannelFactory inner = net::default_channel_factory();
-  s.channel = [channels, inner](std::uint64_t seed) {
-    channels->fetch_add(1, std::memory_order_relaxed);
+  s.channel = [probe, inner](std::uint64_t seed) {
+    probe->calls.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(probe->mu);
+      probe->threads.insert(std::this_thread::get_id());
+    }
     return inner(seed);
   };
   return s;
@@ -96,99 +113,143 @@ model::NetworkConfig exec_config(int lvl = 1) {
                         model::RoutingProtocol::kStar);
 }
 
-TEST(BatchEvaluator, RejectsNegativeThreads) {
-  auto channels = std::make_shared<std::atomic<int>>(0);
-  dse::Evaluator eval(counting_settings(channels));
-  EXPECT_THROW((BatchEvaluator{eval, -1}), ModelError);
+dse::RobustnessOptions realizations(int k) {
+  dse::RobustnessOptions r;
+  r.realizations = k;
+  return r;
 }
 
-TEST(BatchEvaluator, InFlightDedupConcurrentRequestsForOneKey) {
-  // N concurrent batch calls all asking for the same design point must
-  // trigger exactly one simulation; everyone else rides the shared
-  // future / the cache.
-  auto channels = std::make_shared<std::atomic<int>>(0);
-  dse::Evaluator eval(counting_settings(channels));
-  BatchEvaluator batch(eval, 4);
-  const std::vector<model::NetworkConfig> one{exec_config()};
-
-  constexpr int kCallers = 8;
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int i = 0; i < kCallers; ++i) {
-    callers.emplace_back([&batch, &one] { (void)batch.evaluate(one); });
-  }
-  for (std::thread& t : callers) {
-    t.join();
-  }
-  EXPECT_EQ(channels->load(), 1);  // exactly one simulation ran
-  EXPECT_EQ(eval.simulations(), 1u);
-  EXPECT_EQ(eval.cache_hits(), static_cast<std::uint64_t>(kCallers - 1));
+TEST(RobustBatch, RejectsNegativeThreads) {
+  dse::Evaluator eval(probed_settings(std::make_shared<ChannelProbe>()));
+  EXPECT_THROW((dse::RobustBatch{eval, -1, {}}), ModelError);
+  // So does every explorer, before it evaluates anything.
+  dse::ExplorationOptions opt;
+  opt.threads = -1;
+  EXPECT_THROW((void)dse::run_exhaustive(model::Scenario{}, eval, opt),
+               ModelError);
+  EXPECT_EQ(eval.simulations(), 0u);
 }
 
-TEST(BatchEvaluator, DuplicatesWithinABatchSimulateOnce) {
-  auto channels = std::make_shared<std::atomic<int>>(0);
-  dse::Evaluator eval(counting_settings(channels));
-  BatchEvaluator batch(eval, 4);
+TEST(RobustBatch, DuplicatesWithinABatchSimulateOncePerRealization) {
+  auto probe = std::make_shared<ChannelProbe>();
+  dse::Evaluator eval(probed_settings(probe));
+  dse::RobustBatch batch(eval, 4, realizations(2));
   const std::vector<model::NetworkConfig> cfgs{
       exec_config(0), exec_config(1), exec_config(0), exec_config(0),
       exec_config(1)};
-  const auto evals = batch.evaluate(cfgs);
-  ASSERT_EQ(evals.size(), cfgs.size());
-  EXPECT_EQ(channels->load(), 2);  // two distinct design points
-  // Counters replay the serial bookkeeping: 2 misses + 3 in-batch hits.
-  EXPECT_EQ(eval.simulations(), 2u);
-  EXPECT_EQ(eval.cache_hits(), 3u);
-  // Duplicate entries alias the same cached result.
-  EXPECT_EQ(evals[0], evals[2]);
-  EXPECT_EQ(evals[0], evals[3]);
-  EXPECT_EQ(evals[1], evals[4]);
+  const std::vector<dse::RobustEvaluation> revs = batch.evaluate(cfgs);
+  ASSERT_EQ(revs.size(), cfgs.size());
+  EXPECT_EQ(probe->calls.load(), 4);  // two design points x two channels
+  // Counters replay the serial bookkeeping in each realization: 2 misses
+  // + 3 in-batch hits.
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(eval.realization(k).simulations(), 2u) << "k=" << k;
+    EXPECT_EQ(eval.realization(k).cache_hits(), 3u) << "k=" << k;
+  }
+  // Duplicate entries fold the same cached results.
+  EXPECT_EQ(revs[0].worst_pdr, revs[2].worst_pdr);
+  EXPECT_EQ(revs[0].mean_pdr, revs[3].mean_pdr);
+  EXPECT_EQ(revs[1].worst_power_mw, revs[4].worst_power_mw);
 }
 
-TEST(BatchEvaluator, ParallelResultsMatchSerialBitForBit) {
-  auto ch_a = std::make_shared<std::atomic<int>>(0);
-  auto ch_b = std::make_shared<std::atomic<int>>(0);
-  dse::Evaluator serial(counting_settings(ch_a));
-  dse::Evaluator parallel(counting_settings(ch_b));
-  BatchEvaluator batch(parallel, 3);
+TEST(RobustBatch, ParallelResultsMatchSerialBitForBit) {
+  obs::MetricsRegistry reg_a;
+  obs::MetricsRegistry reg_b;
+  dse::EvaluatorSettings sa = probed_settings(std::make_shared<ChannelProbe>());
+  dse::EvaluatorSettings sb = probed_settings(std::make_shared<ChannelProbe>());
+  sa.metrics = &reg_a;
+  sb.metrics = &reg_b;
+  dse::Evaluator serial(sa);
+  dse::Evaluator parallel(sb);
+  dse::RobustBatch serial_batch(serial, 0, realizations(3));
+  dse::RobustBatch parallel_batch(parallel, 3, realizations(3));
   std::vector<model::NetworkConfig> cfgs;
   for (int lvl = 0; lvl < 3; ++lvl) {
     cfgs.push_back(exec_config(lvl));
   }
-  const auto par = batch.evaluate(cfgs);
+  cfgs.push_back(exec_config(1));  // an in-batch hit
+  const auto ser = serial_batch.evaluate(cfgs);
+  const auto par = parallel_batch.evaluate(cfgs);
+  ASSERT_EQ(ser.size(), par.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    const dse::Evaluation& ser = serial.evaluate(cfgs[i]);
-    EXPECT_EQ(ser.pdr, par[i]->pdr);
-    EXPECT_EQ(ser.power_mw, par[i]->power_mw);
-    EXPECT_EQ(ser.nlt_s, par[i]->nlt_s);
+    EXPECT_EQ(ser[i].worst_pdr, par[i].worst_pdr);
+    EXPECT_EQ(ser[i].mean_pdr, par[i].mean_pdr);
+    EXPECT_EQ(ser[i].pdr_lo, par[i].pdr_lo);
+    EXPECT_EQ(ser[i].pdr_hi, par[i].pdr_hi);
+    EXPECT_EQ(ser[i].worst_power_mw, par[i].worst_power_mw);
+    EXPECT_EQ(ser[i].worst_nlt_s, par[i].worst_nlt_s);
   }
-  EXPECT_EQ(serial.simulations(), parallel.simulations());
-  EXPECT_EQ(serial.cache_hits(), parallel.cache_hits());
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(serial.realization(k).simulations(),
+              parallel.realization(k).simulations());
+    EXPECT_EQ(serial.realization(k).cache_hits(),
+              parallel.realization(k).cache_hits());
+  }
+  // Every counter but the schedule-describing exec.* ones agrees.
+  const obs::Snapshot a = reg_a.snapshot();
+  const obs::Snapshot b = reg_b.snapshot();
+  EXPECT_GT(a.counter("net.runs"), 0u);
+  for (const auto& [name, value] : a.counters) {
+    if (name.rfind("exec.", 0) != 0) {
+      EXPECT_EQ(value, b.counter(name)) << name;
+    }
+  }
+  EXPECT_EQ(a.counter("exec.requests"), b.counter("exec.requests"));
+  EXPECT_EQ(b.counter("exec.batches"), 1u);  // one call, all K realizations
+  EXPECT_EQ(b.counter("exec.tasks_scheduled"), 9u);  // 3 points x 3 channels
 }
 
-TEST(BatchEvaluator, PropagatesSimulationErrorsLikeSerial) {
+TEST(RobustBatch, PropagatesSimulationErrorsLikeSerial) {
   // A star config whose coordinator carries no node: simulate() rejects
-  // it at run time.  The batch path must surface the same ModelError.
-  auto channels = std::make_shared<std::atomic<int>>(0);
-  dse::Evaluator eval(counting_settings(channels));
-  BatchEvaluator batch(eval, 2);
+  // it at run time.  The pool path must surface the same ModelError,
+  // after the same counter updates, and cache nothing for it.
   model::NetworkConfig bad = exec_config();
   bad.topology = model::Topology::from_locations({1, 3, 5, 6});  // no loc 0
-  EXPECT_THROW(batch.evaluate({bad}), ModelError);
-  // The failure is not cached: a retry fails identically (serial parity).
-  EXPECT_THROW(batch.evaluate({bad}), ModelError);
-  EXPECT_FALSE(eval.cached(bad));
+  dse::Evaluator serial(probed_settings(std::make_shared<ChannelProbe>()));
+  dse::Evaluator parallel(probed_settings(std::make_shared<ChannelProbe>()));
+  dse::RobustBatch serial_batch(serial, 0, realizations(2));
+  dse::RobustBatch parallel_batch(parallel, 2, realizations(2));
+  EXPECT_THROW((void)serial_batch.evaluate({bad}), ModelError);
+  EXPECT_THROW((void)parallel_batch.evaluate({bad}), ModelError);
+  // A retry fails identically (serial parity).
+  EXPECT_THROW((void)parallel_batch.evaluate({bad}), ModelError);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_FALSE(parallel.realization(k).cached(bad)) << "k=" << k;
+    EXPECT_EQ(serial.realization(k).simulations(),
+              parallel.realization(k).simulations())
+        << "k=" << k;
+  }
 }
 
-TEST(BatchEvaluator, SerialFallbackUsesNoPool) {
-  auto channels = std::make_shared<std::atomic<int>>(0);
-  dse::Evaluator eval(counting_settings(channels));
-  BatchEvaluator batch(eval, 0);
-  EXPECT_EQ(batch.threads(), 0);
-  const auto evals = batch.evaluate({exec_config(), exec_config()});
-  ASSERT_EQ(evals.size(), 2u);
-  EXPECT_EQ(evals[0], evals[1]);
+TEST(RobustBatch, SerialFallbackUsesNoPool) {
+  auto probe = std::make_shared<ChannelProbe>();
+  dse::Evaluator eval(probed_settings(probe));
+  dse::RobustBatch batch(eval, 0, {});
+  const auto revs = batch.evaluate({exec_config(), exec_config()});
+  ASSERT_EQ(revs.size(), 2u);
+  EXPECT_EQ(revs[0].worst_pdr, revs[1].worst_pdr);
   EXPECT_EQ(eval.simulations(), 1u);
   EXPECT_EQ(eval.cache_hits(), 1u);
+  // The one simulation ran on the calling thread: no worker exists.
+  EXPECT_EQ(probe->threads,
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(RobustBatch, OnePoolServesEveryRealization) {
+  // K = 3 realizations at threads = 2: all 3·n misses of a batch share
+  // one pool, so no more than 2 worker threads ever run a simulation.
+  auto probe = std::make_shared<ChannelProbe>();
+  dse::Evaluator eval(probed_settings(probe, /*duration_s=*/2.0));
+  model::Scenario sc;
+  sc.max_nodes = 4;
+  dse::ExplorationOptions opt;
+  opt.threads = 2;
+  opt.robust = realizations(3);
+  const dse::ExplorationResult res = dse::run_exhaustive(sc, eval, opt);
+  EXPECT_GT(res.simulations, 0u);
+  EXPECT_GE(probe->threads.size(), 1u);
+  EXPECT_LE(probe->threads.size(), 2u);
+  EXPECT_EQ(probe->threads.count(std::this_thread::get_id()), 0u);
 }
 
 }  // namespace

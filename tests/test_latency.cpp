@@ -17,7 +17,6 @@
 #include "channel/channel.hpp"
 #include "dse/evaluator.hpp"
 #include "dse/robustness.hpp"
-#include "exec/batch_evaluator.hpp"
 #include "model/design_space.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
@@ -110,10 +109,10 @@ TEST(Latency, ThreadCountInvariant) {
   ASSERT_FALSE(cfgs.empty());
   const auto run_at = [&](int threads) {
     dse::Evaluator eval(latency_settings());
-    exec::BatchEvaluator batch(eval, threads);
+    dse::RobustBatch batch(eval, threads, {});
     std::vector<net::LatencySummary> out;
-    for (const dse::Evaluation* ev : batch.evaluate(cfgs)) {
-      out.push_back(ev->detail.latency);
+    for (const dse::RobustEvaluation& rev : batch.evaluate(cfgs)) {
+      out.push_back(rev.nominal.detail.latency);
     }
     return out;
   };

@@ -287,12 +287,11 @@ TEST(ObsIntegration, SimulationTraceCarriesTxAndKernelEvents) {
 namespace hi::dse {
 namespace {
 
-EvaluatorSettings fast_settings(int threads = 0) {
+EvaluatorSettings fast_settings() {
   EvaluatorSettings s;
   s.sim.duration_s = 4.0;
   s.sim.seed = 2017;
   s.runs = 1;
-  s.threads = threads;
   return s;
 }
 
@@ -310,12 +309,13 @@ TEST(ObsExplorers, SnapshotSimulationsEqualLegacyFieldAtAnyThreadCount) {
     if (ex.kind() == ExplorerKind::kAnnealing) {
       opt.budget = 60;
     }
-    Evaluator serial(fast_settings(0));
+    Evaluator serial(fast_settings());
     const ExplorationResult a = ex.run(small_scenario(), serial, opt);
     EXPECT_GT(a.simulations, 0u);
     EXPECT_EQ(a.metrics.counter("dse.simulations"), a.simulations);
 
-    Evaluator parallel(fast_settings(4));
+    Evaluator parallel(fast_settings());
+    opt.threads = 4;
     const ExplorationResult b = ex.run(small_scenario(), parallel, opt);
     EXPECT_EQ(b.metrics.counter("dse.simulations"), b.simulations);
     EXPECT_EQ(a.metrics.counter("dse.simulations"),

@@ -18,7 +18,6 @@
 
 #include "check/scenario_gen.hpp"
 #include "dse/evaluator.hpp"
-#include "exec/batch_evaluator.hpp"
 #include "model/design_space.hpp"
 #include "pareto/front.hpp"
 #include "pareto/sweep.hpp"
@@ -121,16 +120,12 @@ TEST(Front, LexOrderIsTotalAndDeterministic) {
 }
 
 /// All feasible evaluations of the spec's scenario as FrontPoints, via
-/// an independent batch evaluation (no pareto:: sweep code involved).
+/// plain evaluator calls (no pareto:: sweep code involved).
 std::vector<pareto::FrontPoint> evaluate_all(
     const check::ScenarioSpec& spec, dse::Evaluator& eval) {
-  const std::vector<model::NetworkConfig> cfgs =
-      spec.scenario.feasible_configs();
-  exec::BatchEvaluator batch(eval, 0);
-  const std::vector<const dse::Evaluation*> evs = batch.evaluate(cfgs);
   std::vector<pareto::FrontPoint> out;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    out.push_back(pareto::make_point(cfgs[i], *evs[i]));
+  for (const model::NetworkConfig& cfg : spec.scenario.feasible_configs()) {
+    out.push_back(pareto::make_point(cfg, eval.evaluate(cfg)));
   }
   return out;
 }

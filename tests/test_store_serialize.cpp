@@ -150,8 +150,9 @@ TEST(StoreSerialize, SettingsFingerprintCoversEverySimKnob) {
   EXPECT_TRUE(differs([](auto& s) { s.sim.capture_db += 0.5; }));
   EXPECT_TRUE(differs([](auto& s) { s.runs += 1; }));
   EXPECT_NE(store::settings_fingerprint(base, "harsh-channel"), fp);
-  // Threads and metrics are execution details, not result inputs.
-  EXPECT_FALSE(differs([](auto& s) { s.threads = 7; }));
+  // The metrics registry is an execution detail, not a result input.
+  obs::MetricsRegistry reg;
+  EXPECT_FALSE(differs([&reg](auto& s) { s.metrics = &reg; }));
 }
 
 TEST(StoreSerialize, ScenarioFingerprintIgnoresCosmeticStrings) {

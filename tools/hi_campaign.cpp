@@ -19,48 +19,23 @@
 // Exit codes: 0 success (fleet: campaign complete), 2 usage error,
 // 3 fleet ran but the grid is incomplete (re-run with --resume).
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "cli_args.hpp"
 #include "obs/metrics.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_pdr_grid(const std::string& list, std::vector<double>& out) {
-  out.clear();
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    double v = 0.0;
-    if (!parse_f64(item.c_str(), v) || v < 0.0 || v > 1.0) return false;
-    out.push_back(v);
-  }
-  return !out.empty();
-}
+using hi::cli::parse_f64;
+using hi::cli::parse_pdr_list;
+using hi::cli::parse_u64;
 
 int usage(const char* argv0) {
   std::cerr
@@ -145,7 +120,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--gen-seed" && has_value && parse_u64(argv[++i], u)) {
       spec.gen_seeds.push_back(u);
     } else if (arg == "--pdr-min" && has_value &&
-               parse_pdr_grid(argv[i + 1], spec.pdr_grid)) {
+               parse_pdr_list(argv[i + 1], spec.pdr_grid)) {
       ++i;
     } else if (arg == "--explorer" && has_value) {
       const std::string name = argv[++i];

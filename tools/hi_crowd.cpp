@@ -14,7 +14,6 @@
 // Exit codes: 0 success, 2 usage error.
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/json_string.hpp"
 #include "crowd/crowd.hpp"
 #include "store/crowd_codec.hpp"
@@ -29,21 +29,8 @@
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
+using hi::cli::parse_f64;
+using hi::cli::parse_u64;
 
 bool parse_int_list(const std::string& list, std::vector<int>& out) {
   out.clear();

@@ -18,7 +18,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "check/scenario_gen.hpp"
+#include "cli_args.hpp"
 #include "common/json_string.hpp"
 #include "model/design_space.hpp"
 #include "pareto/sweep.hpp"
@@ -36,33 +36,9 @@
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_pdr_list(const std::string& list, std::vector<double>& out) {
-  out.clear();
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    double v = 0.0;
-    if (!parse_f64(item.c_str(), v) || v < 0.0 || v > 1.0) return false;
-    out.push_back(v);
-  }
-  return !out.empty();
-}
+using hi::cli::parse_f64;
+using hi::cli::parse_pdr_list;
+using hi::cli::parse_u64;
 
 void emit_point(hi::JsonWriter& w, const hi::pareto::FrontPoint& p) {
   w.object(hi::JsonWriter::kInline).field("label", p.cfg.label());
